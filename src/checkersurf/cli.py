@@ -13,12 +13,13 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from itertools import permutations
 from math import factorial
 
-from checkersurf.convolution import coset_decomposition
+from checkersurf.convolution import coset_decomposition, matching_count
 from checkersurf.cosets import DoubleCoset, circledast, concat_geometric
 from checkersurf.errors import BudgetError, InvariantError, SchemaError
 from checkersurf.ik import IKElement, ik_product, poisson_bracket, project
@@ -63,6 +64,30 @@ def _load_triple(path: str) -> Triple:
         return Triple.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("%s: %s" % (path, exc)) from None
+
+
+def _input_degree(data: dict) -> int:
+    """The largest degree a triple's JSON asks for, read before building
+    it: its "n" and the largest point of each cycle string."""
+    sizes = [data.get("n")]
+    for color in ("blue", "red", "yellow"):
+        value = data.get(color)
+        if isinstance(value, str):
+            sizes.extend(int(point) for point in re.findall(r"\d+", value))
+    return max((s for s in sizes if type(s) is int), default=0)
+
+
+def _load_coset(path: str, max_terms: int) -> DoubleCoset:
+    data = _load_json(path)
+    degree = _input_degree(data)
+    if degree > max_terms:
+        raise BudgetError("%s asks for degree %d, over the %d budget" % (path, degree, max_terms))
+    return DoubleCoset.from_json(data)
+
+
+def _require_nonnegative(n: int) -> None:
+    if n < 0:
+        raise SchemaError("--n must be nonnegative, got %d" % n)
 
 
 def _json_text(payload) -> str:
@@ -166,14 +191,15 @@ def cmd_product(args) -> None:
 
 
 def cmd_concentrate(args) -> None:
-    p = DoubleCoset.from_json(_load_json(args.left))
-    q = DoubleCoset.from_json(_load_json(args.right))
+    p = _load_coset(args.left, args.max_terms)
+    q = _load_coset(args.right, args.max_terms)
     if args.n_from > args.n_to:
         raise SchemaError("--n-from must not exceed --n-to")
-    if factorial(args.n_to) > args.max_terms:
+    needed = matching_count(p, q, args.n_to)
+    if needed > args.max_terms:
         raise BudgetError(
-            "h-sum at degree %d needs %d terms, over the %d budget"
-            % (args.n_to, factorial(args.n_to), args.max_terms)
+            "the decomposition canonicalizes %d partial matchings, over the %d budget"
+            % (needed, args.max_terms)
         )
     degrees = list(range(args.n_from, args.n_to + 1))
     target = circledast(p, q)
@@ -287,6 +313,7 @@ def _burnside_pair_classes(n: int) -> int:
 
 
 def cmd_census(args) -> None:
+    _require_nonnegative(args.n)
     cost = sum(factorial(d) ** 2 for d in range(1, args.n + 1))
     if cost > args.max_terms:
         raise BudgetError(
@@ -338,6 +365,7 @@ def cmd_census(args) -> None:
 
 
 def cmd_random(args) -> None:
+    _require_nonnegative(args.n)
     rng = random.Random(args.seed)
     t = random_triple(rng, args.n)
     if args.format == "tsv":
@@ -402,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-terms",
         type=int,
         default=DEFAULT_MAX_TERMS,
-        help="largest permitted h-sum size (default %d)" % DEFAULT_MAX_TERMS,
+        help="largest permitted number of partial matchings to canonicalize "
+        "up to --n-to; separately, the largest degree an input may ask for "
+        "(default %d)" % DEFAULT_MAX_TERMS,
     )
     p_conc.set_defaults(func=cmd_concentrate)
 

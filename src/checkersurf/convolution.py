@@ -6,21 +6,37 @@ summing to 1, and as the degree grows the coefficient of the coset product
 tends to 1. Everything here is exact Fraction arithmetic; no floats.
 
 The workhorse identity: delta_p * delta_q spreads uniformly over the
-classes of a0 * (h,h,h) * b0 as h runs over the inner stabilizer, so one
-coset product costs (n - beta)! canonicalizations instead of a full
-group-algebra convolution.
+classes of a0 * (h,h,h) * b0 as h runs over the inner stabilizer, the
+permutations of [beta, n). Since a0 and b0 fix every point beyond their
+degrees dp and dq, the class depends on h only through the partial
+injection phi it induces from [beta, dq) into [beta, dp). With
+kp = dp - beta, kq = dq - beta and m points matched by phi, exactly
+(n - dp)_(kq - m) (n - dq)! of the (n - beta)! values of h induce phi,
+so phi carries the weight
+
+    (n - dp)_(kq - m) / (n - beta)_(kq),       (x)_k the falling factorial,
+
+which vanishes below n_min = dp + kq - m. Canonicalizing one
+representative of phi at n_min with unlabeled double triangles stripped
+gives its class at every n >= n_min. Up to degree n, one coset product
+therefore costs the sum over m >= dp + kq - n of C(kp, m) C(kq, m) m!
+canonicalizations for all degrees together, instead of (n - beta)! at
+each degree; every such phi is induced by some h, so the sum never
+exceeds (n - beta)!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import comb, factorial, perm
 from typing import Dict, Iterable, List, Tuple
 
 from checkersurf import kernel
 from checkersurf.errors import SchemaError
 from checkersurf.cosets import DoubleCoset, circledast
+from checkersurf.perm import _pad
 from checkersurf.surface import LabeledSurface, Triple
 
 __all__ = [
@@ -29,12 +45,9 @@ __all__ = [
     "delta_subgroup",
     "convolve",
     "coset_decomposition",
+    "matching_count",
     "sigma_series",
 ]
-
-
-def _pad(arr: Tuple[int, ...], n: int) -> Tuple[int, ...]:
-    return tuple(arr) + tuple(range(len(arr), n))
 
 
 def _triple_mul(s: Triple, t: Triple, n: int) -> Triple:
@@ -45,16 +58,6 @@ def _triple_mul(s: Triple, t: Triple, n: int) -> Triple:
         b = _pad(b, n)
         out.append(tuple(a[b[x]] for x in range(n)))
     return Triple._from_zero_based(n, *out)
-
-
-def _triple_inv(t: Triple) -> Triple:
-    arrs = []
-    for a in (t._b, t._r, t._y):
-        inv = [0] * len(a)
-        for i, v in enumerate(a):
-            inv[v] = i
-        arrs.append(tuple(inv))
-    return Triple._from_zero_based(t.n, *arrs)
 
 
 class GroupAlgebraElement:
@@ -240,43 +243,87 @@ class CosetAlgebraElement:
         }
 
 
-def coset_decomposition(p: DoubleCoset, q: DoubleCoset, n: int) -> CosetAlgebraElement:
-    """Coefficients c^r with delta_p(n) * delta_q(n) = sum c^r delta_r(n).
-
-    Computed by classifying a0 * (h,h,h) * b0 over h in the inner diagonal
-    stabilizer; exact, nonnegative, summing to 1.
-    """
+def _check_pair(p: DoubleCoset, q: DoubleCoset) -> None:
     if p.beta != q.alpha:
         raise SchemaError(
             "inner label counts differ: left beta=%d, right alpha=%d" % (p.beta, q.alpha)
         )
+
+
+def _least_matched(p: DoubleCoset, q: DoubleCoset, n: int) -> int:
+    """Fewest matched points a partial injection needs to fit in degree n
+    (n_min = dp + kq - m <= n); those with fewer weigh 0 there."""
+    return max(0, p.degree + q.degree - p.beta - n)
+
+
+def matching_count(p: DoubleCoset, q: DoubleCoset, n: int) -> int:
+    """Partial injections of [beta, dq) into [beta, dp) that fit in degree
+    n: the canonicalizations behind coset_decomposition(p, q, n') at every
+    n' <= n. Never more than the (n - beta)! terms of the h-sum, since
+    each is induced by some h."""
+    _check_pair(p, q)
+    kp, kq = p.degree - p.beta, q.degree - p.beta
+    return sum(
+        comb(kq, m) * perm(kp, m) for m in range(_least_matched(p, q, n), min(kp, kq) + 1)
+    )
+
+
+@lru_cache
+def _matching_classes(p: DoubleCoset, q: DoubleCoset, m: int) -> Tuple[Tuple[DoubleCoset, int], ...]:
+    """(class, count): how many partial injections with m matched points
+    yield each class. Independent of the ambient degree."""
+    alpha, beta, gamma = p.alpha, p.beta, q.beta
+    dp, dq = p.degree, q.degree
+    kp, n_min = dp - beta, dp + dq - beta - m
+    a = [_pad(arr, n_min) for arr in (p.surface._b, p.surface._r, p.surface._y)]
+    b = [_pad(arr, n_min) for arr in (q.surface._b, q.surface._r, q.surface._y)]
+    canonical_code = kernel.canonical_code
+    free_p = set(range(beta, dp))
+    counts: Dict[tuple, int] = {}
+    for dom in combinations(range(beta, dq), m):
+        # h: dom -> img as phi; the other points of [beta, dq) onto
+        # [dp, n_min); [dq, n_min) onto the points of [beta, dp) phi misses,
+        # in any order (every h inducing phi gives its class)
+        base = list(range(n_min))
+        for i, x in enumerate(x for x in range(beta, dq) if x not in dom):
+            base[x] = dp + i
+        for img in permutations(range(beta, dp), m):
+            h = base[:]
+            for x, y in zip(dom, img):
+                h[x] = y
+            if m < kp:
+                h[dq:] = free_p.difference(img)
+            prods = [tuple([ac[h[y]] for y in bc]) for ac, bc in zip(a, b)]
+            code = canonical_code(n_min, prods[0], prods[1], prods[2], alpha, gamma, True)
+            counts[code] = counts.get(code, 0) + 1
+    return tuple(
+        (DoubleCoset(LabeledSurface(alpha, gamma, *code)), cnt) for code, cnt in counts.items()
+    )
+
+
+def coset_decomposition(p: DoubleCoset, q: DoubleCoset, n: int) -> CosetAlgebraElement:
+    """Coefficients c^r with delta_p(n) * delta_q(n) = sum c^r delta_r(n).
+
+    Sums the weights of the partial injections of each class (module
+    docstring); exact, nonnegative, summing to 1. Only the injections
+    that fit in degree n are canonicalized, each once per (p, q) and
+    reused at every larger n.
+    """
+    _check_pair(p, q)
     if n < p.degree or n < q.degree:
         raise SchemaError(
             "degree %d cannot embed representatives of degrees %d and %d"
             % (n, p.degree, q.degree)
         )
-    alpha, beta, gamma = p.alpha, p.beta, q.beta
-    a = [_pad(arr, n) for arr in (p.surface._b, p.surface._r, p.surface._y)]
-    b = [_pad(arr, n) for arr in (q.surface._b, q.surface._r, q.surface._y)]
-    counts: Dict[tuple, int] = {}
-    rng_pts = range(n)
-    canonical_code = kernel.canonical_code
-    for tail in permutations(range(beta, n)):
-        h = tuple(range(beta)) + tail
-        prods = []
-        for c in range(3):
-            ac = a[c]
-            bc = b[c]
-            prods.append(tuple(ac[h[bc[x]]] for x in rng_pts))
-        key = canonical_code(n, prods[0], prods[1], prods[2], alpha, gamma, True)
-        counts[key] = counts.get(key, 0) + 1
-    total = factorial(n - beta)
-    coeffs = {}
-    for key, cnt in counts.items():
-        n2, cb, cr, cy = key
-        coset = DoubleCoset(LabeledSurface(alpha, gamma, n2, cb, cr, cy))
-        coeffs[coset] = Fraction(cnt, total)
-    return CosetAlgebraElement(n, alpha, gamma, coeffs)
+    kp, kq = p.degree - p.beta, q.degree - p.beta
+    weights: Dict[DoubleCoset, int] = {}
+    for m in range(_least_matched(p, q, n), min(kp, kq) + 1):
+        w = perm(n - p.degree, kq - m)
+        for coset, cnt in _matching_classes(p, q, m):
+            weights[coset] = weights.get(coset, 0) + cnt * w
+    total = perm(n - p.beta, kq)
+    coeffs = {coset: Fraction(w, total) for coset, w in weights.items()}
+    return CosetAlgebraElement(n, p.alpha, q.beta, coeffs)
 
 
 def sigma_series(p: DoubleCoset, q: DoubleCoset, n_range: Iterable[int]) -> List[Fraction]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from checkersurf.errors import InvariantError, SchemaError
-from checkersurf.perm import Permutation
+from checkersurf.perm import Permutation, _pad
 from checkersurf.surface import LabeledSurface, Triple, canonical_form
 
 __all__ = [
@@ -134,10 +134,6 @@ class DoubleCoset:
     @classmethod
     def from_json(cls, data: dict) -> "DoubleCoset":
         return cls(LabeledSurface.from_json(data))
-
-
-def _pad(arr: Tuple[int, ...], n: int) -> Tuple[int, ...]:
-    return tuple(arr) + tuple(range(len(arr), n))
 
 
 def _shift_product(tp: Triple, tq: Triple, alpha: int, beta: int, gamma: int, j: int) -> LabeledSurface:

@@ -38,6 +38,11 @@ def _trim(images: Sequence[int]) -> Tuple[int, ...]:
     return tuple(images[:m])
 
 
+def _pad(arr: Sequence[int], n: int) -> Tuple[int, ...]:
+    """0-based image array extended by fixed points to length ``n``."""
+    return tuple(arr) + tuple(range(len(arr), n))
+
+
 class Permutation:
     """A finitely supported bijection of {1, 2, 3, ...}.
 

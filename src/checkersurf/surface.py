@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from checkersurf import kernel
+from checkersurf.errors import SchemaError
 from checkersurf.perm import Permutation, cycles, inverse
 
 __all__ = [
@@ -134,7 +135,18 @@ class Triple:
 
     @classmethod
     def from_json(cls, data: dict) -> "Triple":
-        return cls(data["blue"], data["red"], data["yellow"], n=data.get("n"))
+        """Each color a cycle string or a 1-based image list; "n" optional."""
+        colors = [data[color] for color in COLORS]
+        for color, value in zip(COLORS, colors):
+            if isinstance(value, list):
+                if any(type(x) is not int for x in value):
+                    raise ValueError("%s images must be integers" % color)
+            elif not isinstance(value, str):
+                raise ValueError("%s must be a cycle string or an image list" % color)
+        n = data.get("n")
+        if n is not None and type(n) is not int:
+            raise ValueError("n must be an integer, got %r" % (n,))
+        return cls(*colors, n=n)
 
 
 class CompletelyLabeledSurface:
@@ -435,8 +447,21 @@ class LabeledSurface:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabeledSurface":
-        t = Triple.from_json(data)
-        return canonical_form(t, data.get("alpha", 0), data.get("beta", 0))
+        """Canonical form of triple JSON with "alpha" and "beta" keys
+        (default 0); malformed data raises SchemaError."""
+        if not isinstance(data, dict):
+            raise SchemaError("surface data must be a JSON object")
+        try:
+            t = Triple.from_json(data)
+        except KeyError as exc:
+            raise SchemaError("surface data lacks the key %s" % exc) from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError("malformed surface data: %s" % exc) from None
+        alpha, beta = data.get("alpha", 0), data.get("beta", 0)
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if type(value) is not int or not 0 <= value <= t.n:
+                raise SchemaError("%s must be an integer in 0..%d, got %r" % (name, t.n, value))
+        return canonical_form(t, alpha, beta)
 
     def describe(self) -> dict:
         """Triple JSON plus components, chi, genus, and the vertex census."""

@@ -236,7 +236,7 @@ def test_criterion_5_concentration():
     target = circledast(p, p)
     series = []
     for n in range(4, 10):
-        decomp = coset_decomposition(p, p, n)  # full inner sum over n! terms
+        decomp = coset_decomposition(p, p, n)  # exact sum over the 7 partial matchings
         assert all(c > 0 for _, c in decomp.items())
         assert decomp.mass() == 1
         series.append(decomp.coefficient(target))

@@ -1,9 +1,14 @@
 """Command-line behavior: formats, determinism, exit codes, budgets."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from checkersurf.cli import main
 
@@ -111,10 +116,50 @@ def eval_fraction(text):
 
 
 def test_concentrate_budget_exit(tmp_path, capsys):
+    # the transposition pair has 7 partial matchings
     coset = dict(TRANSPOSITION, alpha=0, beta=0)
     path = write(tmp_path, "p.json", coset)
-    rc, _, err = invoke(capsys, "concentrate", path, path, "--n-to", "12")
+    rc, _, err = invoke(capsys, "concentrate", path, path, "--max-terms", "6")
     assert rc == 3 and "budget" in err
+    assert "7 partial matchings" in err and "6 budget" in err
+
+
+def test_concentrate_budget_counts_matchings_not_degree(tmp_path, capsys):
+    # beta = 4 leaves one free point on each side: 2 partial matchings,
+    # though the h-sum at degree 10 has 6! = 720 terms
+    left = write(
+        tmp_path, "p.json",
+        {"blue": "(1 2 3 4 5)", "red": "(1 3)", "yellow": "()", "alpha": 1, "beta": 4},
+    )
+    right = write(
+        tmp_path, "q.json",
+        {"blue": "(1 2 3 4 5)", "red": "()", "yellow": "(2 5)", "alpha": 4, "beta": 2},
+    )
+    rc, out, _ = invoke(
+        capsys, "concentrate", left, right, "--n-from", "10", "--n-to", "10", "--quiet"
+    )
+    assert rc == 0
+    terms = json.loads(out)["decompositions"][0]["terms"]
+    assert sum(eval_fraction(term["coeff"]) for term in terms) == 1
+
+
+def test_concentrate_budget_counts_only_matchings_that_fit(tmp_path, capsys):
+    # two degree-8 cosets at n = 8: the 8! matchings with all points
+    # matched fit, the other 1,401,409 would need a larger degree
+    left = write(tmp_path, "p.json", {"blue": "(1 2 3 4 5 6 7 8)", "red": "(1 2)", "yellow": "()"})
+    right = write(tmp_path, "q.json", {"blue": "(1 3)(2 4)(5 7)(6 8)", "red": "()", "yellow": "(1 8)"})
+    rc, out, _ = invoke(
+        capsys, "concentrate", left, right, "--n-from", "8", "--n-to", "8", "--quiet"
+    )
+    assert rc == 0
+    terms = json.loads(out)["decompositions"][0]["terms"]
+    assert sum(eval_fraction(term["coeff"]) for term in terms) == 1
+
+
+def test_concentrate_budget_caps_input_degree(tmp_path, capsys):
+    path = write(tmp_path, "p.json", {"blue": "(1 99999999999)", "red": "()", "yellow": "()"})
+    rc, _, err = invoke(capsys, "concentrate", path, path)
+    assert rc == 3 and "degree 99999999999" in err
 
 
 def test_spherical_paths_agree(tmp_path, capsys):
@@ -185,6 +230,13 @@ def test_census_breakdown_totals(tmp_path, capsys):
         assert sum(b["count"] for b in entry["breakdown"]) == entry["classes"]
 
 
+def test_negative_sizes_exit_two(capsys):
+    rc, out, err = invoke(capsys, "census", "--n", "-1")
+    assert rc == 2 and out == "" and "nonnegative" in err
+    rc, out, err = invoke(capsys, "random", "--n", "-3")
+    assert rc == 2 and out == "" and "nonnegative" in err
+
+
 def test_random_is_seed_deterministic(capsys):
     rc1, out1, _ = invoke(capsys, "random", "--n", "5", "--seed", "11", "--quiet")
     rc2, out2, _ = invoke(capsys, "random", "--n", "5", "--seed", "11", "--quiet")
@@ -216,6 +268,62 @@ def test_mismatched_inner_labels_exit_two(tmp_path, capsys):
     right = write(tmp_path, "q.json", dict(TRANSPOSITION, alpha=1, beta=1))
     rc, _, err = invoke(capsys, "concentrate", left, right)
     assert rc == 2
+
+
+def test_concentrate_malformed_cosets_exit_two(tmp_path, capsys):
+    good = write(tmp_path, "good.json", dict(TRANSPOSITION, alpha=0, beta=0))
+    no_blue = {k: v for k, v in TRANSPOSITION.items() if k != "blue"}
+    for name, payload, message in (
+        ("no_blue.json", dict(no_blue, alpha=0, beta=0), "blue"),
+        ("alpha_text.json", dict(TRANSPOSITION, alpha="x", beta=0), "alpha"),
+        ("float_images.json", dict(TRANSPOSITION, blue=[2.0, 1.0]), "integers"),
+    ):
+        bad = write(tmp_path, name, payload)
+        rc, out, err = invoke(capsys, "concentrate", bad, good)
+        assert rc == 2 and out == "" and message in err
+        assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+PERMUTATION_LISTS = st.integers(0, 7).flatmap(lambda k: st.permutations(list(range(1, k + 1))))
+CYCLE_STRINGS = st.lists(st.integers(-1, 9), max_size=6).map(
+    lambda pts: "(" + " ".join(str(x) for x in pts) + ")"
+)
+PERMUTATION_VALUES = PERMUTATION_LISTS | CYCLE_STRINGS
+SIZE_VALUES = st.integers(-1, 3) | st.integers() | JSON_VALUES
+# well-formed colors, so that some runs get past the schema, or arbitrary
+# objects with arbitrary keys
+COSET_OBJECTS = st.fixed_dictionaries(
+    {"blue": PERMUTATION_VALUES, "red": PERMUTATION_VALUES, "yellow": PERMUTATION_VALUES},
+    optional={"n": SIZE_VALUES, "alpha": SIZE_VALUES, "beta": SIZE_VALUES},
+) | st.dictionaries(
+    st.sampled_from(["n", "blue", "red", "yellow", "alpha", "beta"]) | st.text(max_size=4),
+    PERMUTATION_VALUES | SIZE_VALUES,
+    max_size=7,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(left=COSET_OBJECTS, right=COSET_OBJECTS)
+def test_concentrate_on_arbitrary_json_exits_cleanly(left, right):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, payload in (("left.json", left), ("right.json", right)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(
+                ["concentrate", *paths, "--n-from", "6", "--n-to", "8", "--max-terms", "1000"]
+            )
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_usage_error_exits_two(capsys):

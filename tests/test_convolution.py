@@ -1,8 +1,9 @@
 """Exact convolution of biinvariant measures and coset decompositions.
 
 Every numeric expectation here is either computed by a brute-force oracle
-inside this file (full group-algebra convolution over enumerated cosets)
-or frozen from the closed form for the transposition pair.
+(full group-algebra convolution over enumerated cosets, inside this file,
+or the h-sum of oracles.py) or frozen from the closed form for the
+transposition pair.
 """
 
 import random
@@ -11,12 +12,15 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from oracles import hsum_oracle
 
+from checkersurf import convolution, kernel
 from checkersurf.convolution import (
     GroupAlgebraElement,
     convolve,
     coset_decomposition,
     delta_subgroup,
+    matching_count,
     sigma_series,
     _triple_mul,
 )
@@ -232,6 +236,56 @@ def test_decomposition_keys_are_canonical_and_probability():
                 gamma,
             )
             assert redone == coset.surface
+
+
+def test_decomposition_matches_hsum_oracle():
+    # Every degree up to where all matchings weigh in (dp + dq - beta) and
+    # at least to 7. Beyond that the classes no longer change, and a
+    # beta = 0 h-sum at degree 8 has 40,320 terms.
+    rng = random.Random(30)
+    for _ in range(300):
+        alpha, beta, gamma = (rng.randint(0, 2) for _ in range(3))
+        p = random_coset(rng, alpha, beta, 4)
+        q = random_coset(rng, beta, gamma, 4)
+        top = max(7, p.degree + q.degree - beta)
+        for n in range(max(p.degree, q.degree), top + 1):
+            assert coset_decomposition(p, q, n) == hsum_oracle(p, q, n)
+
+
+def test_decompositions_canonicalize_each_matching_once(monkeypatch):
+    calls = []
+    canonical_code = kernel.canonical_code
+
+    def counted(*args):
+        calls.append(args[0])
+        return canonical_code(*args)
+
+    monkeypatch.setattr(kernel, "canonical_code", counted)
+    rng = random.Random(31)
+    for _ in range(20):
+        beta = rng.randint(0, 2)
+        p = random_coset(rng, rng.randint(0, 2), beta, 5)
+        q = random_coset(rng, beta, rng.randint(0, 2), 5)
+        convolution._matching_classes.cache_clear()
+        del calls[:]
+        lo = max(p.degree, q.degree)
+        for n in range(lo, lo + 6):
+            coset_decomposition(p, q, n)
+            # only the matchings that fit in degree n, each at the least
+            # degree it fits in, and never more than the h-sum's terms
+            assert len(calls) == matching_count(p, q, n) <= factorial(n - beta)
+            assert max(calls, default=0) <= n
+
+
+def test_decomposition_matches_hsum_oracle_at_the_least_degree():
+    # Degrees 5-6 at n = max(dp, dq): most matchings do not fit yet.
+    rng = random.Random(32)
+    for _ in range(40):
+        alpha, beta, gamma = (rng.randint(0, 2) for _ in range(3))
+        p = DoubleCoset.from_triple(random_triple(rng, rng.randint(5, 6)), alpha, beta)
+        q = DoubleCoset.from_triple(random_triple(rng, rng.randint(5, 6)), beta, gamma)
+        n = max(p.degree, q.degree)
+        assert coset_decomposition(p, q, n) == hsum_oracle(p, q, n)
 
 
 def test_inner_label_mismatch_is_rejected():
