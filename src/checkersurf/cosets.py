@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from checkersurf.errors import InvariantError, SchemaError
-from checkersurf.perm import Permutation, _pad
+from checkersurf.perm import Permutation, _invert, _pad
 from checkersurf.surface import LabeledSurface, Triple, canonical_form
 
 __all__ = [
@@ -231,13 +231,6 @@ def star(p: DoubleCoset) -> DoubleCoset:
         _invert(t._y),
     )
     return DoubleCoset.from_triple(inv, p.beta, p.alpha)
-
-
-def _invert(arr: Tuple[int, ...]):
-    out = [0] * len(arr)
-    for i, v in enumerate(arr):
-        out[v] = i
-    return tuple(out)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from typing import Dict, List, Tuple
 from checkersurf import kernel
 from checkersurf.convolution import GroupAlgebraElement
 from checkersurf.errors import SchemaError
+from checkersurf.perm import _invert
 from checkersurf.surface import (
     CheckerSurface,
     Triple,
@@ -128,7 +129,8 @@ class IKElement:
             for term in terms:
                 key = checker_surface(Triple.from_json(term["surface"]))
                 coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(term["coeff"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            # ArithmeticError: a coefficient like "1/0" or Infinity
             raise SchemaError("malformed element data: %s" % exc) from None
         return cls(coeffs)
 
@@ -191,21 +193,14 @@ def ik_product(p, q) -> IKElement:
     return IKElement(coeffs)
 
 
-def _inv(arr: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [0] * len(arr)
-    for i, v in enumerate(arr):
-        out[v] = i
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _reduced_centralizer_order(p: CheckerSurface) -> int:
     """Order of the diagonal centralizer of the pair of p with its
     double-triangle components removed."""
     stripped = canonical_form(p.canonical_triple, 0, 0)
     kk = stripped.n
-    ib = _inv(stripped._b)
-    ir = _inv(stripped._r)
+    ib = _invert(stripped._b)
+    ir = _invert(stripped._r)
     g1 = tuple(stripped._y[ib[x]] for x in range(kk))
     g2 = tuple(stripped._y[ir[x]] for x in range(kk))
     count = 0
@@ -233,14 +228,14 @@ def lift(p: CheckerSurface, m: int) -> GroupAlgebraElement:
     scalar = Fraction(
         _reduced_centralizer_order(p) * factorial(m - k + f), factorial(m - k)
     )
-    ib = _inv(p._b)
-    ir = _inv(p._r)
+    ib = _invert(p._b)
+    ir = _invert(p._r)
     g1 = tuple(p._y[ib[x]] for x in range(k)) + tuple(range(k, m))
     g2 = tuple(p._y[ir[x]] for x in range(k)) + tuple(range(k, m))
     ident = tuple(range(m))
     seen = set()
     for g in permutations(range(m)):
-        ginv = _inv(g)
+        ginv = _invert(g)
         seen.add(
             (
                 tuple(g[g1[ginv[x]]] for x in range(m)),

@@ -43,6 +43,14 @@ def _pad(arr: Sequence[int], n: int) -> Tuple[int, ...]:
     return tuple(arr) + tuple(range(len(arr), n))
 
 
+def _invert(arr: Sequence[int]) -> Tuple[int, ...]:
+    """Inverse of a 0-based image array."""
+    out = [0] * len(arr)
+    for i, v in enumerate(arr):
+        out[v] = i
+    return tuple(out)
+
+
 class Permutation:
     """A finitely supported bijection of {1, 2, 3, ...}.
 

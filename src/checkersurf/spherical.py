@@ -1,22 +1,41 @@
 """Spherical function of a checker surface against a unit tensor.
 
-Two independent computations of the same number. The direct path builds
-the n-fold tensor power of a unit vector xi in C^db x C^dr x C^dy, lets
-the triple permute the colored slots, and takes the inner product. The
-combinatorial path sums over index assignments to the edges: each white
-triangle contributes an entry of xi, each black triangle a conjugated
-entry, glued edges sharing their index. Agreement of the two paths on
-every input is the point of this module.
+The value is the full contraction of the surface's edge network. Every
+edge carries one index, ranging over db, dr or dy values by its color;
+each white triangle contributes the factor xi[i, j, k] on its three edges
+and each black triangle the conjugated factor on its three, so the value
+is a sum over index assignments to the edges.
+
+`spherical_assignment_sum` evaluates that sum by pairwise contraction, one
+component at a time, the value being the product over components. For
+each component it plans a greedy order that always merges the two factors
+sharing an edge whose result has the fewest entries. A step costs the
+product of the dimensions of the edges its two factors carry, in
+multiply-adds; the cost of the plans of all components is checked
+against the budget before any arithmetic, then each step runs as one
+two-operand `numpy.einsum`. Edges of dimension 1 carry no sum and are
+left out of the network. The cost grows with the largest intermediate
+factor of the plan, not with the number of assignments.
+
+`spherical_oracle` computes the same number another way: the inner
+product of the n-fold tensor power of xi against its copy with the
+colored slots permuted by the triple. It holds (db dr dy)^n entries, so
+it serves as a cross-check at small n.
+
+numpy is imported by the functions that use it, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from math import prod
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from checkersurf.errors import BudgetError, SchemaError
+from checkersurf.perm import _invert
+from checkersurf.surface import components
 
 __all__ = [
     "Tensor3",
@@ -37,6 +56,8 @@ class Tensor3:
     __slots__ = ("dims", "entries")
 
     def __init__(self, entries, dims: Tuple[int, int, int] | None = None):
+        import numpy as np
+
         arr = np.asarray(entries, dtype=complex)
         if dims is not None:
             dims = tuple(int(d) for d in dims)
@@ -55,6 +76,8 @@ class Tensor3:
 
     @property
     def norm(self) -> float:
+        import numpy as np
+
         return float(np.linalg.norm(self.entries))
 
     def normalized(self) -> "Tensor3":
@@ -84,7 +107,7 @@ class Tensor3:
             dims = tuple(int(d) for d in data["dims"])
             re = [float(x) for x in data["re"]]
             im = [float(x) for x in data.get("im") or [0.0] * len(re)]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError("malformed tensor data: %s" % exc) from None
         if len(dims) != 3:
             raise SchemaError("dims must have three entries, got %r" % (dims,))
@@ -101,45 +124,71 @@ class Tensor3:
 
 
 def _require_unit(xi: Tensor3) -> None:
-    if abs(xi.norm - 1.0) > UNIT_NORM_TOLERANCE:
+    # written so that a NaN norm fails too
+    if not abs(xi.norm - 1.0) <= UNIT_NORM_TOLERANCE:
         raise SchemaError("spherical vector must have unit norm, got %r" % xi.norm)
 
 
-def _maps(surface) -> Tuple[int, List[Tuple[int, ...]], List[Tuple[int, ...]]]:
-    n = surface.n
-    imgs = [tuple(surface._b), tuple(surface._r), tuple(surface._y)]
-    invs = []
-    for img in imgs:
-        inv = [0] * n
-        for w, b in enumerate(img):
-            inv[b] = w
-        invs.append(tuple(inv))
-    return n, imgs, invs
+def _summed_colors(xi: Tensor3) -> List[int]:
+    """The colors whose edges carry a sum: those of dimension above 1."""
+    return [c for c in range(3) if xi.dims[c] > 1]
 
 
-def _white_components(n, imgs, invs) -> List[List[int]]:
-    """Connected pieces of the triangle adjacency graph, whites listed in
-    traversal order so each new white touches an earlier one."""
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
+def _plan(factors: List[Tuple[int, ...]], dims: Sequence[int]):
+    """Greedy pairwise contraction order of one connected network.
+
+    `factors` lists the edge labels of each factor; label e has dimension
+    dims[e % 3] and belongs to exactly two factors. Each step merges the
+    pair sharing an edge whose result has the fewest entries (ties: the
+    cheaper step, then the lower ids). The merged factor gets the next id
+    and carries the edges of either factor that are not shared. Factors
+    left without edges are multiplied in at the end, at cost 1 each.
+    Returns the steps as (a, b, result labels) and their total
+    multiply-adds, the product of the dimensions of each step's edges.
+    """
+    live = dict(enumerate(factors))
+    owners = {}
+    for f, labels in live.items():
+        for e in labels:
+            owners.setdefault(e, []).append(f)
+    heap = []
+
+    def push(a: int, b: int) -> None:
+        la, lb = live[a], live[b]
+        out = tuple(e for e in la if e not in lb) + tuple(e for e in lb if e not in la)
+        size = prod(dims[e % 3] for e in out)
+        cost = size * prod(dims[e % 3] for e in la if e in lb)
+        heapq.heappush(heap, (size, cost, a, b, out))
+
+    for pair in {tuple(sorted(fs)) for fs in owners.values()}:
+        push(*pair)
+    steps = []
+    total = 0
+    fresh = len(factors)
+    while heap:
+        _, cost, a, b, out = heapq.heappop(heap)
+        if a not in live or b not in live:
             continue
-        seen[start] = True
-        order = [start]
-        head = 0
-        while head < len(order):
-            w = order[head]
-            head += 1
-            for c1 in range(3):
-                black = imgs[c1][w]
-                for c2 in range(3):
-                    nxt = invs[c2][black]
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        order.append(nxt)
-        comps.append(order)
-    return comps
+        del live[a], live[b]
+        live[fresh] = out
+        partners = set()
+        for e in out:
+            fs = owners[e]
+            fs[fs.index(a) if a in fs else fs.index(b)] = fresh
+            partners.add(fs[0] if fs[1] == fresh else fs[1])
+        for other in sorted(partners):
+            push(other, fresh)
+        steps.append((a, b, out))
+        total += cost
+        fresh += 1
+    scalars = sorted(live)
+    product = scalars[0]
+    for other in scalars[1:]:
+        steps.append((product, other, ()))
+        total += 1
+        product = fresh
+        fresh += 1
+    return steps, total
 
 
 def spherical_assignment_sum(
@@ -150,65 +199,51 @@ def spherical_assignment_sum(
     """Sum over edge-index assignments, one xi factor per white triangle
     and one conjugated factor per black triangle.
 
-    Evaluates component by component with partial products: a black's
-    factor is multiplied in as soon as its last edge receives an index.
-    Raises BudgetError when the multiply-add count would exceed
+    Contracts the edge network of each component pairwise in a planned
+    order and multiplies the components' values. Raises BudgetError,
+    before any arithmetic, when the plans' multiply-adds would exceed
     max_assignments.
     """
     _require_unit(xi)
-    n, imgs, invs = _maps(surface)
-    if n == 0:
-        return complex(1.0)
-    db, dr, dy = xi.dims
-    plain = xi.entries
-    conj = np.conjugate(xi.entries)
-    counter = [0]
+    colors = _summed_colors(xi)
+    imgs = (surface._b, surface._r, surface._y)
+    invs = [_invert(img) for img in imgs]
+    networks = []
+    total = 0
+    for comp in components(surface):
+        whites = [w - 1 for w in comp]
+        blacks = sorted({imgs[c][w] for w in whites for c in range(3)})
+        factors = [tuple(3 * w + c for c in colors) for w in whites]
+        factors += [tuple(3 * invs[c][k] + c for c in colors) for k in blacks]
+        steps, cost = _plan(factors, xi.dims)
+        networks.append((factors, len(whites), steps))
+        total += cost
+    if total > max_assignments:
+        raise BudgetError(
+            "the contraction plan needs %d multiply-adds, over the %d budget"
+            % (total, max_assignments)
+        )
 
-    def component_sum(order: List[int]) -> complex:
-        pos = {w: d for d, w in enumerate(order)}
-        k = len(order)
-        # black b completes at the last of its three whites in the order
-        completing: List[List[Tuple[int, int, int]]] = [[] for _ in range(k)]
-        blacks = sorted({imgs[c][w] for w in order for c in range(3)})
-        for b in blacks:
-            wb, wr, wy = invs[0][b], invs[1][b], invs[2][b]
-            depth = max(pos[wb], pos[wr], pos[wy])
-            completing[depth].append((wb, wr, wy))
-        idx_i = {w: 0 for w in order}
-        idx_j = {w: 0 for w in order}
-        idx_k = {w: 0 for w in order}
-        total = complex(0.0)
+    import numpy as np
 
-        def descend(depth: int, product: complex) -> None:
-            nonlocal total
-            if depth == k:
-                total += product
-                return
-            w = order[depth]
-            for i in range(db):
-                idx_i[w] = i
-                for j in range(dr):
-                    idx_j[w] = j
-                    for kk in range(dy):
-                        idx_k[w] = kk
-                        factor = product * plain[i, j, kk]
-                        counter[0] += 1
-                        for wb, wr, wy in completing[depth]:
-                            factor *= conj[idx_i[wb], idx_j[wr], idx_k[wy]]
-                            counter[0] += 1
-                        if counter[0] > max_assignments:
-                            raise BudgetError(
-                                "assignment enumeration exceeded %d multiply-adds"
-                                % max_assignments
-                            )
-                        descend(depth + 1, factor)
-
-        descend(0, complex(1.0))
-        return total
-
+    plain = xi.entries.reshape([xi.dims[c] for c in colors])
+    conj = plain.conj()
     value = complex(1.0)
-    for comp in _white_components(n, imgs, invs):
-        value *= component_sum(comp)
+    for factors, white_count, steps in networks:
+        tensors = [plain] * white_count + [conj] * (len(factors) - white_count)
+        labels = list(factors)
+        for a, b, out in steps:
+            la, lb = labels[a], labels[b]
+            axis = {e: i for i, e in enumerate(dict.fromkeys(la + lb))}
+            tensors.append(
+                np.einsum(
+                    tensors[a], [axis[e] for e in la],
+                    tensors[b], [axis[e] for e in lb],
+                    [axis[e] for e in out],
+                )
+            )
+            labels.append(out)
+        value *= complex(tensors[-1])
     return value
 
 
@@ -220,25 +255,29 @@ def spherical_oracle(
     """Inner product of the slot-permuted tensor power against itself.
 
     The blue coordinate permutes the blue slots of the n factors, red and
-    yellow likewise. Raises BudgetError when the tensor power would hold
-    more than max_entries entries.
+    yellow likewise. Axes of dimension 1 are dropped. Raises BudgetError
+    when the tensor power would hold more than max_entries entries.
     """
     _require_unit(xi)
-    n, imgs, invs = _maps(t)
+    n = t.n
     if n == 0:
         return complex(1.0)
     db, dr, dy = xi.dims
     size = (db * dr * dy) ** n
     if size > max_entries:
-        raise BudgetError(
-            "tensor power needs %d entries, budget is %d" % (size, max_entries)
-        )
-    v = xi.entries
+        raise BudgetError("tensor power needs %d entries, budget %d" % (size, max_entries))
+
+    import numpy as np
+
+    colors = _summed_colors(xi)
+    factor = xi.entries.reshape([xi.dims[c] for c in colors])
+    v = factor
     for _ in range(n - 1):
-        v = np.multiply.outer(v, xi.entries)
-    axes = [0] * (3 * n)
-    for slot in range(n):
-        for c in range(3):
-            axes[3 * slot + c] = 3 * invs[c][slot] + c
+        v = np.multiply.outer(v, factor)
+    invs = [_invert(img) for img in (t._b, t._r, t._y)]
+    k = len(colors)
+    axes = [k * invs[c][slot] + i for slot in range(n) for i, c in enumerate(colors)]
     rho_v = np.transpose(v, axes)
-    return complex(np.vdot(v, rho_v))
+    # an elementwise reduction, not np.vdot: BLAS would wake its helper
+    # threads, which then spin between calls
+    return complex((v.conj() * rho_v).sum())

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from checkersurf import kernel
 from checkersurf.errors import SchemaError
-from checkersurf.perm import Permutation, cycles, inverse
+from checkersurf.perm import Permutation, _invert, cycles, inverse
 
 __all__ = [
     "Triple",
@@ -229,17 +229,10 @@ def triple_of(s: CompletelyLabeledSurface) -> Triple:
     return Triple._from_zero_based(n, maps["blue"], maps["red"], maps["yellow"])
 
 
-def _inv(arr: Sequence[int]) -> List[int]:
-    out = [0] * len(arr)
-    for i, v in enumerate(arr):
-        out[v] = i
-    return out
-
-
 def _comp_perms(t: Triple) -> Tuple[List[int], List[int], List[int]]:
     """The three gluing words: a = y^-1 b, bgen = y^-1 r, c = r^-1 b (0-based)."""
-    iy = _inv(t._y)
-    ir = _inv(t._r)
+    iy = _invert(t._y)
+    ir = _invert(t._r)
     a = [iy[v] for v in t._b]
     bgen = [iy[v] for v in t._r]
     c = [ir[v] for v in t._b]
@@ -388,7 +381,7 @@ def reverse(t: Triple) -> Triple:
     >>> reverse(Triple("(1 2 3)", "()", "()")).blue.cycle_string()
     '(1 3 2)'
     """
-    return Triple._from_zero_based(t.n, _inv(t._b), _inv(t._r), _inv(t._y))
+    return Triple._from_zero_based(t.n, _invert(t._b), _invert(t._r), _invert(t._y))
 
 
 class LabeledSurface:

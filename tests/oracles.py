@@ -7,8 +7,8 @@ from math import factorial
 from checkersurf import kernel
 from checkersurf.convolution import CosetAlgebraElement
 from checkersurf.cosets import DoubleCoset
-from checkersurf.perm import _pad
-from checkersurf.surface import LabeledSurface
+from checkersurf.perm import _invert, _pad
+from checkersurf.surface import LabeledSurface, components
 
 
 def hsum_oracle(p: DoubleCoset, q: DoubleCoset, n: int) -> CosetAlgebraElement:
@@ -30,3 +30,54 @@ def hsum_oracle(p: DoubleCoset, q: DoubleCoset, n: int) -> CosetAlgebraElement:
         for key, cnt in counts.items()
     }
     return CosetAlgebraElement(n, alpha, gamma, coeffs)
+
+
+def assignment_sum_oracle(surface, xi) -> complex:
+    """spherical_assignment_sum by recursion over the index assignments of
+    the edges, component by component: each white's three indices are
+    chosen in turn, and a black's conjugated factor is multiplied in as
+    soon as its last white has its indices. Costs about (db dr dy)^k
+    multiply-adds on a component of k whites."""
+    imgs = [surface._b, surface._r, surface._y]
+    invs = [_invert(img) for img in imgs]
+    db, dr, dy = xi.dims
+    plain = xi.entries
+    conj = xi.entries.conj()
+
+    def component_sum(order):
+        pos = {w: d for d, w in enumerate(order)}
+        k = len(order)
+        # black b completes at the last of its three whites in the order
+        completing = [[] for _ in range(k)]
+        for b in sorted({imgs[c][w] for w in order for c in range(3)}):
+            wb, wr, wy = invs[0][b], invs[1][b], invs[2][b]
+            completing[max(pos[wb], pos[wr], pos[wy])].append((wb, wr, wy))
+        idx_i = dict.fromkeys(order, 0)
+        idx_j = dict.fromkeys(order, 0)
+        idx_k = dict.fromkeys(order, 0)
+        total = complex(0.0)
+
+        def descend(depth, product):
+            nonlocal total
+            if depth == k:
+                total += product
+                return
+            w = order[depth]
+            for i in range(db):
+                idx_i[w] = i
+                for j in range(dr):
+                    idx_j[w] = j
+                    for kk in range(dy):
+                        idx_k[w] = kk
+                        factor = product * plain[i, j, kk]
+                        for wb, wr, wy in completing[depth]:
+                            factor *= conj[idx_i[wb], idx_j[wr], idx_k[wy]]
+                        descend(depth + 1, factor)
+
+        descend(0, complex(1.0))
+        return total
+
+    value = complex(1.0)
+    for comp in components(surface):
+        value *= component_sum([w - 1 for w in comp])
+    return value

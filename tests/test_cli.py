@@ -4,13 +4,23 @@ import contextlib
 import io
 import json
 import os
+import random
+import subprocess
+import sys
 import tempfile
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checkersurf import cli
 from checkersurf.cli import main
+from checkersurf.spherical import Tensor3
+from checkersurf.surface import components, disjoint_union, random_triple
+from oracles import assignment_sum_oracle
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 TRANSPOSITION = {"n": 2, "blue": [2, 1], "red": [1, 2], "yellow": [1, 2]}
 DOUBLE_TRIANGLE = {"n": 1, "blue": [1], "red": [1], "yellow": [1]}
@@ -182,6 +192,50 @@ def test_spherical_budget_and_schema_exits(tmp_path, capsys):
     assert rc == 2 and "unit norm" in err
 
 
+def connected_triple(rng, n):
+    while True:
+        t = random_triple(rng, n)
+        if len(components(t)) == 1:
+            return t
+
+
+def test_spherical_reports_oracle_skipped_above_its_budget(tmp_path, capsys):
+    rng = random.Random(61)
+    xi = Tensor3.random_unit(rng, (2, 2, 2))
+    xi_path = write(tmp_path, "xi.json", xi.to_json())
+    # degree 8 as a 5 + 3 union, so that the recursion oracle stays quick
+    surfaces = {8: disjoint_union(connected_triple(rng, 5), connected_triple(rng, 3))}
+    surfaces.update({n: connected_triple(rng, n) for n in (10, 12)})
+    for n, t in surfaces.items():
+        path = write(tmp_path, "s%d.json" % n, t.to_json())
+        rc, out, err = invoke(capsys, "spherical", path, xi_path)
+        assert rc == 0, err
+        data = json.loads(out)
+        assert data["inner_product"] is None and data["difference"] is None
+        entries = 8**n
+        assert "oracle skipped: tensor power needs %d entries, budget %d" % (entries, 2**22) in err
+        value = complex(data["assignment_sum"]["re"], data["assignment_sum"]["im"])
+        assert abs(value) <= 1
+        if n == 8:
+            assert abs(value - assignment_sum_oracle(t, xi)) < 1e-10
+    rc, out, _ = invoke(capsys, "spherical", path, xi_path, "--format", "tsv", "--quiet")
+    assert rc == 0 and "inner_product\tnull\tnull\n" in out
+
+
+def test_ik_project_budget_counts_permutations_per_surface(tmp_path, capsys):
+    dt = write(tmp_path, "dt.json", DOUBLE_TRIANGLE)
+    rc, out, _ = invoke(capsys, "ik-product", dt, dt, "--quiet")
+    element = write(tmp_path, "x.json", json.loads(out))
+    rc, out, err = invoke(capsys, "ik-project", element, "--n", "11")
+    assert rc == 3 and out == ""
+    assert "2 surfaces to degree 11" in err and "2 x 11!" in err and "1000000" in err
+    # two distinct surfaces, 4! permutations each
+    rc, _, err = invoke(capsys, "ik-project", element, "--n", "4", "--max-terms", "47")
+    assert rc == 3 and "2 x 4!" in err and "47 budget" in err
+    rc, _, _ = invoke(capsys, "ik-project", element, "--n", "4", "--max-terms", "48", "--quiet")
+    assert rc == 0
+
+
 def test_ik_product_and_projection(tmp_path, capsys):
     dt = write(tmp_path, "dt.json", DOUBLE_TRIANGLE)
     rc, out, _ = invoke(capsys, "ik-product", dt, dt, "--quiet")
@@ -230,11 +284,74 @@ def test_census_breakdown_totals(tmp_path, capsys):
         assert sum(b["count"] for b in entry["breakdown"]) == entry["classes"]
 
 
-def test_negative_sizes_exit_two(capsys):
+def test_negative_sizes_exit_two(tmp_path, capsys):
     rc, out, err = invoke(capsys, "census", "--n", "-1")
     assert rc == 2 and out == "" and "nonnegative" in err
     rc, out, err = invoke(capsys, "random", "--n", "-3")
     assert rc == 2 and out == "" and "nonnegative" in err
+    element = write(tmp_path, "x.json", {"terms": []})
+    rc, out, err = invoke(capsys, "ik-project", element, "--n", "-1")
+    assert rc == 2 and out == "" and "nonnegative" in err
+
+
+def test_inputs_asking_for_huge_degrees_exit_three(tmp_path, capsys):
+    huge = {"blue": "()", "red": "()", "yellow": "()", "n": 10**12}
+    huge_n = write(tmp_path, "n.json", huge)
+    huge_point = write(
+        tmp_path, "p.json", {"blue": "(1 1_000_000_000_000)", "red": "()", "yellow": "()"}
+    )
+    for path in (huge_n, huge_point):
+        rc, out, err = invoke(
+            capsys, "product", path, path, "--alpha", "0", "--beta", "0", "--gamma", "0"
+        )
+        assert rc == 3 and out == "" and "degree 1000000000000" in err
+    element = write(tmp_path, "x.json", {"terms": [{"surface": huge, "coeff": "1"}]})
+    rc, _, err = invoke(capsys, "ik-project", element, "--n", "3")
+    assert rc == 3 and "degree 1000000000000" in err
+    # a contraction costs at least one multiply-add per triangle pair
+    xi = write(tmp_path, "xi.json", unit_tensor())
+    rc, _, err = invoke(capsys, "spherical", write(tmp_path, "t.json", THREE), xi,
+                        "--max-assignments", "2")
+    assert rc == 3 and "degree 3, over the 2 budget" in err
+
+
+def test_label_out_of_range_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "t.json", TRANSPOSITION)
+    rc, out, err = invoke(
+        capsys, "product", path, path, "--alpha", "0", "--beta", "3", "--gamma", "0"
+    )
+    assert rc == 2 and out == "" and "--beta 3" in err
+
+
+def test_unexpected_errors_exit_four(tmp_path, capsys, monkeypatch):
+    def broken(p, q):
+        raise ValueError("broken on purpose")
+
+    monkeypatch.setattr(cli, "circledast", broken)
+    path = write(tmp_path, "t.json", TRANSPOSITION)
+    rc, out, err = invoke(
+        capsys, "product", path, path, "--alpha", "0", "--beta", "0", "--gamma", "0"
+    )
+    assert rc == 4 and out == ""
+    assert "internal error: ValueError: broken on purpose" in err and "Traceback" not in err
+
+
+def test_numpy_loads_only_for_spherical(tmp_path):
+    path = write(tmp_path, "t.json", TRANSPOSITION)
+    script = "\n".join([
+        "import sys",
+        "import checkersurf.cli",
+        "argv = ['product', %r, %r, '--alpha', '0', '--beta', '0', '--gamma', '0', '--quiet']"
+        % (path, path),
+        "assert checkersurf.cli.main(argv) == 0",
+        "assert checkersurf.cli.main(['random', '--n', '4', '--quiet']) == 0",
+        "assert 'checkersurf.spherical' in sys.modules",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_random_is_seed_deterministic(capsys):
@@ -308,22 +425,69 @@ COSET_OBJECTS = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(left=COSET_OBJECTS, right=COSET_OBJECTS)
-def test_concentrate_on_arbitrary_json_exits_cleanly(left, right):
+# one-hot unit tensors get past the schema; the rest mostly do not
+UNIT_TENSORS = st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)).flatmap(
+    lambda dims: st.integers(0, prod(dims) - 1).map(
+        lambda hot: {"dims": list(dims), "re": [float(i == hot) for i in range(prod(dims))]}
+    )
+)
+TENSOR_OBJECTS = UNIT_TENSORS | st.fixed_dictionaries(
+    {"dims": st.lists(SIZE_VALUES, max_size=4), "re": st.lists(SIZE_VALUES, max_size=8)},
+    optional={"im": st.lists(SIZE_VALUES, max_size=8) | JSON_VALUES},
+) | st.dictionaries(st.sampled_from(["dims", "re", "im"]) | st.text(max_size=3), JSON_VALUES,
+                    max_size=4)
+COEFF_VALUES = st.integers(-3, 3).map(str) | st.fractions().map(str) | JSON_VALUES
+ELEMENT_OBJECTS = st.fixed_dictionaries(
+    {"terms": st.lists(st.fixed_dictionaries({"surface": COSET_OBJECTS, "coeff": COEFF_VALUES}),
+                       max_size=3)}
+) | st.dictionaries(st.sampled_from(["terms"]) | st.text(max_size=3), JSON_VALUES, max_size=3)
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def exit_code_on(payloads, argv):
+    """Run the CLI on the payloads written as JSON files, whose paths
+    replace the {0}, {1} ... fields of argv; no traceback may escape."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
-        for name, payload in (("left.json", left), ("right.json", right)):
-            paths.append(os.path.join(tmp, name))
+        for k, payload in enumerate(payloads):
+            paths.append(os.path.join(tmp, "input%d.json" % k))
             with open(paths[-1], "w", encoding="utf-8") as fh:
                 json.dump(payload, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(
-                ["concentrate", *paths, "--n-from", "6", "--n-to", "8", "--max-terms", "1000"]
-            )
-    assert rc in (0, 2, 3)
+            rc = main([arg.format(*paths) for arg in argv])
     assert "Traceback" not in err.getvalue()
+    return rc
+
+
+@FUZZ
+@given(left=COSET_OBJECTS, right=COSET_OBJECTS)
+def test_concentrate_on_arbitrary_json_exits_cleanly(left, right):
+    argv = ["concentrate", "{0}", "{1}", "--n-from", "6", "--n-to", "8", "--max-terms", "1000"]
+    assert exit_code_on([left, right], argv) in (0, 2, 3)
+
+
+@FUZZ
+@given(surface=COSET_OBJECTS, xi=TENSOR_OBJECTS)
+def test_spherical_on_arbitrary_json_exits_cleanly(surface, xi):
+    argv = ["spherical", "{0}", "{1}", "--max-assignments", "10000"]
+    assert exit_code_on([surface, xi], argv) in (0, 2, 3)
+
+
+@FUZZ
+@given(element=ELEMENT_OBJECTS)
+def test_ik_project_on_arbitrary_json_exits_cleanly(element):
+    argv = ["ik-project", "{0}", "--n", "4", "--max-terms", "1000"]
+    assert exit_code_on([element], argv) in (0, 2, 3)
+
+
+@FUZZ
+@given(left=COSET_OBJECTS, right=COSET_OBJECTS, labels=st.lists(st.integers(0, 3), min_size=3,
+                                                                 max_size=3))
+def test_product_on_arbitrary_json_exits_cleanly(left, right, labels):
+    argv = ["product", "{0}", "{1}", "--alpha", str(labels[0]), "--beta", str(labels[1]),
+            "--gamma", str(labels[2])]
+    assert exit_code_on([left, right], argv) in (0, 2, 3)
 
 
 def test_usage_error_exits_two(capsys):

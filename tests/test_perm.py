@@ -7,6 +7,7 @@ import pytest
 
 from checkersurf.perm import (
     Permutation,
+    _invert,
     compose,
     cycles,
     identity,
@@ -81,6 +82,10 @@ def test_inverse_antihomomorphism():
         n = rng.randint(1, 9)
         p, q = random_permutation(rng, n), random_permutation(rng, n)
         assert inverse(compose(p, q)) == compose(inverse(q), inverse(p))
+        # the 0-based array helper agrees with the Permutation inverse
+        assert _invert([p(x) - 1 for x in range(1, n + 1)]) == tuple(
+            inverse(p)(x) - 1 for x in range(1, n + 1)
+        )
 
 
 def test_cycle_lengths_partition_degree():

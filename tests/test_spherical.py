@@ -1,13 +1,16 @@
 """Spherical evaluation: two independent computation paths must agree.
 
 The file carries its own third oracle, a direct nested-loop translation
-of the defining sum, so the fast assignment enumeration and the tensor
-inner product are each checked against it and against each other.
+of the defining sum, so the planned contraction and the tensor inner
+product are each checked against it and against each other. The
+recursion over edge assignments that the contraction replaced is the
+fourth, `oracles.assignment_sum_oracle`.
 """
 
 import random
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from checkersurf.errors import BudgetError, SchemaError
@@ -20,6 +23,8 @@ from checkersurf.surface import (
     random_triple,
     reverse,
 )
+
+from oracles import assignment_sum_oracle
 
 
 def brute_assignment_sum(surface, xi):
@@ -195,6 +200,9 @@ def test_unit_norm_is_required():
     with pytest.raises(SchemaError):
         spherical_assignment_sum(checker_surface(Triple("()", "()", "()", n=1)), not_unit)
     assert abs(not_unit.normalized().norm - 1) < 1e-12
+    not_a_number = Tensor3([[[float("nan"), 0.0]]], dims=(1, 1, 2))
+    with pytest.raises(SchemaError):
+        spherical_assignment_sum(Triple("()", "()", "()", n=1), not_a_number)
 
 
 def test_tensor_schema_validation_and_json_round_trip():
@@ -211,3 +219,63 @@ def test_tensor_schema_validation_and_json_round_trip():
     assert float(abs(again.entries - xi.entries).max()) < 1e-15
     real_only = Tensor3.from_json({"dims": [1, 1, 2], "re": [0.6, 0.8]})
     assert abs(real_only.norm - 1) < 1e-12
+
+
+def test_contraction_matches_both_oracles_on_every_degree_two_triple_and_dims():
+    rng = random.Random(53)
+    for dims in iproduct((1, 2, 3), repeat=3):
+        xi = Tensor3.random_unit(rng, dims)
+        for t in all_degree_two_triples():
+            got = spherical_assignment_sum(t, xi)
+            assert abs(got - assignment_sum_oracle(t, xi)) < 1e-10
+            assert abs(got - spherical_oracle(t, xi)) < 1e-10
+
+
+def test_contraction_matches_both_oracles_on_random_triples():
+    rng = random.Random(54)
+    for case in range(200):
+        n = rng.randint(0, 6)
+        if case % 4 == 0 and n >= 2:
+            split = rng.randint(1, n - 1)
+            t = disjoint_union(random_triple(rng, split), random_triple(rng, n - split))
+        else:
+            t = random_triple(rng, n)
+        # dims up to 3, with a small enough tensor power to keep the
+        # recursion oracle (about (db dr dy)^n steps) quick
+        while True:
+            dims = tuple(rng.randint(1, 3) for _ in range(3))
+            if (dims[0] * dims[1] * dims[2]) ** n <= 2**15:
+                break
+        xi = Tensor3.random_unit(rng, dims)
+        got = spherical_assignment_sum(t, xi)
+        assert abs(got - assignment_sum_oracle(t, xi)) < 1e-10
+        assert abs(got - spherical_oracle(t, xi)) < 1e-10
+
+
+def test_budget_error_comes_before_any_einsum(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def counting_einsum(*args, **kwargs):
+        calls.append(len(args))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    rng = random.Random(56)
+    t = random_triple(rng, 8)
+    xi = Tensor3.random_unit(rng, (2, 2, 2))
+    with pytest.raises(BudgetError, match="multiply-adds"):
+        spherical_assignment_sum(t, xi, max_assignments=100)
+    assert calls == []
+    spherical_assignment_sum(t, xi)
+    # every step is a two-operand call: operand, labels, operand, labels, output
+    assert calls and set(calls) == {5}
+
+
+def test_oracle_drops_axes_of_dimension_one():
+    # 3n axes of length 1 would exceed numpy's 64 axes at n >= 22
+    rng = random.Random(57)
+    t = random_triple(rng, 30)
+    xi = Tensor3.random_unit(rng, (1, 1, 1))
+    assert abs(spherical_oracle(t, xi) - 1) < 1e-12
+    assert abs(spherical_assignment_sum(t, xi) - 1) < 1e-12
