@@ -1,9 +1,7 @@
-"""Benchmark the canonical-labeling kernel: compiled extension vs pure twin.
+"""Benchmark the canonical-labeling kernel.
 
 Runs canonical_code on the same batch of seeded random triples at several
-degrees and prints microseconds per call for each backend plus the
-speedup ratio. The compiled backend is skipped (with a note) when the
-extension is not built.
+degrees and prints microseconds per call, best of three timed passes.
 
 Usage: python3 benchmarks/bench_kernel.py [--sizes 4,8,16,32] [--reps 2000]
 """
@@ -12,12 +10,7 @@ import argparse
 import random
 import time
 
-from checkersurf import _kernel_py
-
-try:
-    from checkersurf import _kernel
-except ImportError:
-    _kernel = None
+from checkersurf.kernel import canonical_code
 
 
 def make_batch(rng, n, count):
@@ -32,17 +25,17 @@ def make_batch(rng, n, count):
     return batch
 
 
-def time_backend(func, n, batch, reps):
+def time_kernel(n, batch, reps):
     # One untimed pass warms caches and surfaces errors early.
     for b, r, y in batch:
-        func(n, b, r, y, 0, 0, True)
+        canonical_code(n, b, r, y, 0, 0, True)
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
         done = 0
         while done < reps:
             for b, r, y in batch:
-                func(n, b, r, y, 0, 0, True)
+                canonical_code(n, b, r, y, 0, 0, True)
                 done += 1
                 if done >= reps:
                     break
@@ -59,24 +52,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
 
-    if _kernel is None:
-        print("compiled kernel not built; timing the pure backend only")
-    header = "%6s  %14s  %14s  %8s" % ("n", "compiled us/op", "python us/op", "ratio")
+    header = "%6s  %10s" % ("n", "us/op")
     print(header)
     print("-" * len(header))
     for n in sizes:
         rng = random.Random(args.seed)
         batch = make_batch(rng, n, args.batch)
-        py = time_backend(_kernel_py.canonical_code, n, batch, args.reps)
-        if _kernel is not None:
-            cy = time_backend(_kernel.canonical_code, n, batch, args.reps)
-            for b, r, y in batch:
-                assert _kernel.canonical_code(n, b, r, y, 0, 0, True) == (
-                    _kernel_py.canonical_code(n, b, r, y, 0, 0, True)
-                )
-            print("%6d  %14.2f  %14.2f  %7.1fx" % (n, cy, py, py / cy))
-        else:
-            print("%6d  %14s  %14.2f  %8s" % (n, "-", py, "-"))
+        print("%6d  %10.2f" % (n, time_kernel(n, batch, args.reps)))
 
 
 if __name__ == "__main__":

@@ -362,12 +362,16 @@ def _burnside_pair_classes(n: int) -> int:
 
 def cmd_census(args) -> None:
     _require_nonnegative(args.n)
-    cost = sum(factorial(d) ** 2 for d in range(1, args.n + 1))
-    if cost > args.max_terms:
-        raise BudgetError(
-            "census up to degree %d needs %d enumerations, over the %d budget"
-            % (args.n, cost, args.max_terms)
-        )
+    # stop at the first degree over budget: the total up to a huge --n
+    # would take longer to compute than to refuse
+    cost = 0
+    for d in range(1, args.n + 1):
+        cost += factorial(d) ** 2
+        if cost > args.max_terms:
+            raise BudgetError(
+                "census up to degree %d is over the %d budget: degrees 1 to %d alone "
+                "need %d enumerations" % (args.n, args.max_terms, d, cost)
+            )
     report = []
     for d in range(1, args.n + 1):
         seen = set()

@@ -27,7 +27,6 @@ from checkersurf.perm import Permutation, _invert, _pad
 from checkersurf.surface import LabeledSurface, Triple, canonical_form
 
 __all__ = [
-    "Theta",
     "DoubleCoset",
     "theta",
     "circledast",
@@ -35,24 +34,6 @@ __all__ = [
     "concat_geometric",
     "star",
 ]
-
-
-class Theta:
-    """The block-swap involution at block size j and offset beta."""
-
-    __slots__ = ("j", "beta")
-
-    def __init__(self, j: int, beta: int):
-        if j < 1 or beta < 0:
-            raise ValueError("need j >= 1 and beta >= 0, got j=%r beta=%r" % (j, beta))
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Theta is immutable")
-
-    def permutation(self) -> Permutation:
-        return Permutation(tuple(x + 1 for x in _theta_images(self.j, self.beta)))
 
 
 def _theta_images(j: int, beta: int, n: int | None = None) -> Tuple[int, ...]:
@@ -77,7 +58,9 @@ def theta(j: int, beta: int) -> Permutation:
     >>> theta(2, 1).cycle_string()
     '(2 4)(3 5)'
     """
-    return Theta(j, beta).permutation()
+    if j < 1 or beta < 0:
+        raise ValueError("need j >= 1 and beta >= 0, got j=%r beta=%r" % (j, beta))
+    return Permutation(tuple(x + 1 for x in _theta_images(j, beta)))
 
 
 class DoubleCoset:

@@ -277,6 +277,17 @@ def test_census_counts_and_budget(tmp_path, capsys):
     assert rc == 3 and "budget" in err
 
 
+def test_census_refuses_huge_degree_promptly():
+    # a subprocess, so that a budget check that runs the whole sum fails by
+    # timing out instead of hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "checkersurf.cli", "census", "--n", "100000"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "over the 1000000 budget: degrees 1 to 7 alone" in proc.stderr
+
+
 def test_census_breakdown_totals(tmp_path, capsys):
     rc, out, _ = invoke(capsys, "census", "--n", "3", "--quiet")
     data = json.loads(out)

@@ -12,7 +12,7 @@ from itertools import permutations
 
 import pytest
 
-from checkersurf.kernel import canonical_code
+from checkersurf.kernel import BACKEND, canonical_code
 
 
 def all_perms(n):
@@ -206,3 +206,7 @@ def test_component_sort_is_by_size_then_code():
     two_first = canonical_code(3, b2, tuple(range(3)), tuple(range(3)), 0, 0, False)
     assert one_first == two_first
     assert one_first[1][0] == 0  # double-triangle block first
+
+
+def test_backend_selection_reports():
+    assert BACKEND == "python"
