@@ -18,7 +18,8 @@ import re
 import sys
 import tempfile
 from itertools import permutations
-from math import factorial
+from json.encoder import encode_basestring_ascii
+from math import factorial, isfinite
 
 from checkersurf.convolution import coset_decomposition, matching_count
 from checkersurf.cosets import DoubleCoset, circledast, concat_geometric
@@ -107,7 +108,42 @@ def _require_nonnegative(n: int) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The text of json.dumps(payload, indent=2, sort_keys=True) and a line
+    break, byte for byte, written directly: the stdlib uses its C encoder
+    only without indent."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    # newline is a line break plus the indentation of value's own level
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = newline + "  "
+    if (kind is list or kind is tuple) and value:
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and value and all(type(key) is str for key in value):
+        items = [
+            encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # nan, infinities, empty containers, other key types: the encoder's
+    # own line breaks need only this level's indentation added
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _tsv_text(rows) -> str:
@@ -518,9 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-terms",
         type=int,
         default=DEFAULT_MAX_TERMS,
-        help="largest permitted number of permutations enumerated, n! per "
-        "distinct surface of degree at most --n; separately, the largest "
-        "degree an input surface may ask for (default %d)" % DEFAULT_MAX_TERMS,
+        help="largest permitted enumeration, charged n! per distinct surface "
+        "of degree at most --n (an upper bound on the injections of its moved "
+        "points that its lift enumerates); separately, the largest degree an "
+        "input surface may ask for (default %d)" % DEFAULT_MAX_TERMS,
     )
     p_ikj.set_defaults(func=cmd_ik_project)
 

@@ -60,40 +60,54 @@ def _triple_mul(s: Triple, t: Triple, n: int) -> Triple:
     return Triple._from_zero_based(n, *out)
 
 
-class GroupAlgebraElement:
-    """Sparse exact-rational combination of group elements at degree n."""
+class SparseCombination:
+    """Immutable sparse exact-rational combination of basis keys.
 
-    __slots__ = ("n", "_coeffs")
+    A subclass names its fixed parameters in _params and a term's key
+    field in _field, and gives _sort_key, _key_from_json and _check_key.
+    Integral values stay int outside the public constructor, which checks
+    and merges.
+    """
 
-    def __init__(self, n: int, coeffs: Dict[Triple, Fraction] | None = None):
-        clean: Dict[Triple, Fraction] = {}
+    __slots__ = ("_coeffs",)
+    _params: Tuple[str, ...] = ()
+    _field = ""
+
+    def __init__(self, coeffs: Dict | None = None):
+        clean: Dict = {}
         for key, val in (coeffs or {}).items():
-            if len(key._key()[0]) > n:
-                raise SchemaError(
-                    "group element of degree %d exceeds ambient degree %d"
-                    % (len(key._key()[0]), n)
-                )
+            self._check_key(key)
             val = Fraction(val)
             if val != 0:
                 clean[key] = clean.get(key, Fraction(0)) + val
                 if clean[key] == 0:
                     del clean[key]
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_coeffs", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupAlgebraElement is immutable")
-
     @classmethod
-    def delta(cls, t: Triple, n: int) -> "GroupAlgebraElement":
-        """Point mass at one group element."""
-        return cls(n, {t: Fraction(1)})
+    def _from_clean(cls, coeffs: Dict, *params):
+        """Wrap coeffs, which the caller owns and guarantees to hold only
+        valid keys and nonzero values, without copying or checking it."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls._params, params):
+            object.__setattr__(obj, name, value)
+        object.__setattr__(obj, "_coeffs", coeffs)
+        return obj
 
-    def coefficient(self, t: Triple) -> Fraction:
-        return self._coeffs.get(t, Fraction(0))
+    def _check_key(self, key) -> None:
+        pass
 
-    def items(self) -> List[Tuple[Triple, Fraction]]:
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0]._key())
+    def _param_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def coefficient(self, key) -> Fraction:
+        return self._coeffs.get(key, Fraction(0))
+
+    def items(self) -> List[Tuple[object, Fraction]]:
+        return sorted(self._coeffs.items(), key=self._sort_key)
 
     def support_size(self) -> int:
         return len(self._coeffs)
@@ -101,53 +115,89 @@ class GroupAlgebraElement:
     def mass(self) -> Fraction:
         return sum(self._coeffs.values(), Fraction(0))
 
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if self.n != other.n:
-            raise SchemaError("ambient degrees differ: %d vs %d" % (self.n, other.n))
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._param_values() != other._param_values():
+            raise SchemaError("cannot add %r and %r" % (self, other))
         out = dict(self._coeffs)
         for key, val in other._coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return GroupAlgebraElement(self.n, out)
+            val += out.get(key, 0)
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+        return self._from_clean(out, *self._param_values())
 
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, c) -> "GroupAlgebraElement":
+    def scale(self, c):
         c = Fraction(c)
-        return GroupAlgebraElement(self.n, {k: v * c for k, v in self._coeffs.items()})
+        if c.denominator == 1:
+            c = c.numerator
+        coeffs = {k: v * c for k, v in self._coeffs.items()} if c else {}
+        return self._from_clean(coeffs, *self._param_values())
 
     def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.n == other.n and self._coeffs == other._coeffs
+        return self._param_values() == other._param_values() and self._coeffs == other._coeffs
 
     def __repr__(self):
-        return "GroupAlgebraElement(n=%d, %d terms, mass=%s)" % (
-            self.n,
-            len(self._coeffs),
-            self.mass(),
-        )
+        params = "".join("%s=%d, " % (name, getattr(self, name)) for name in self._params)
+        return "%s(%s%d terms, mass=%s)" % (type(self).__name__, params, len(self._coeffs), self.mass())
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"triple": key.to_json(), "coeff": str(val)}
-                for key, val in self.items()
-            ],
-        }
+        data = {name: getattr(self, name) for name in self._params}
+        data["terms"] = [self._term_json(key, val) for key, val in self.items()]
+        return data
+
+    def _term_json(self, key, val) -> dict:
+        return {self._field: key.to_json(), "coeff": str(val)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "GroupAlgebraElement":
+    def from_json(cls, data: dict):
         try:
-            n = int(data["n"])
-            coeffs: Dict[Triple, Fraction] = {}
+            params = [int(data[name]) for name in cls._params]
+            coeffs: Dict = {}
             for term in data["terms"]:
-                key = Triple.from_json(term["triple"])
+                key = cls._key_from_json(term[cls._field])
                 coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(term["coeff"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            # ArithmeticError: a coefficient like "1/0" or Infinity
             raise SchemaError("malformed element data: %s" % exc) from None
-        return cls(n, coeffs)
+        return cls(*params, coeffs)
+
+
+class GroupAlgebraElement(SparseCombination):
+    """Sparse exact-rational combination of group elements at degree n."""
+
+    __slots__ = ("n",)
+    _params = ("n",)
+    _field = "triple"
+
+    def __init__(self, n: int, coeffs: Dict[Triple, Fraction] | None = None):
+        object.__setattr__(self, "n", n)
+        super().__init__(coeffs)
+
+    def _check_key(self, key) -> None:
+        if len(key._key()[0]) > self.n:
+            raise SchemaError(
+                "group element of degree %d exceeds ambient degree %d"
+                % (len(key._key()[0]), self.n)
+            )
+
+    @staticmethod
+    def _sort_key(item):
+        return item[0]._key()
+
+    _key_from_json = staticmethod(Triple.from_json)
+
+    @classmethod
+    def delta(cls, t: Triple, n: int) -> "GroupAlgebraElement":
+        """Point mass at one group element."""
+        return cls(n, {t: Fraction(1)})
 
 
 def delta_subgroup(alpha: int, n: int) -> GroupAlgebraElement:
@@ -162,7 +212,7 @@ def delta_subgroup(alpha: int, n: int) -> GroupAlgebraElement:
     for tail in permutations(range(alpha, n)):
         h = tuple(range(alpha)) + tail
         coeffs[Triple._from_zero_based(n, h, h, h)] = weight
-    return GroupAlgebraElement(n, coeffs)
+    return GroupAlgebraElement._from_clean(coeffs, n)
 
 
 def convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -174,73 +224,35 @@ def convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElem
     for y, fy in f._coeffs.items():
         for z, gz in g._coeffs.items():
             x = _triple_mul(y, z, n)
-            val = out.get(x, Fraction(0)) + fy * gz
-            if val == 0:
-                out.pop(x, None)
-            else:
+            val = out.get(x, 0) + fy * gz
+            if val:
                 out[x] = val
-    return GroupAlgebraElement(n, out)
+            else:
+                out.pop(x, None)
+    return GroupAlgebraElement._from_clean(out, n)
 
 
-class CosetAlgebraElement:
+class CosetAlgebraElement(SparseCombination):
     """Sparse rational combination of double cosets at fixed degree n."""
 
-    __slots__ = ("n", "alpha", "gamma", "_coeffs")
+    __slots__ = ("n", "alpha", "gamma")
+    _params = ("n", "alpha", "gamma")
+    _field = "surface"
 
     def __init__(self, n: int, alpha: int, gamma: int, coeffs: Dict[DoubleCoset, Fraction]):
-        clean = {}
-        for key, val in coeffs.items():
-            val = Fraction(val)
-            if val != 0:
-                clean[key] = val
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "_coeffs", clean)
+        super().__init__(coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CosetAlgebraElement is immutable")
+    @staticmethod
+    def _sort_key(item):
+        return item[0].surface.sort_key()
 
-    def coefficient(self, coset: DoubleCoset) -> Fraction:
-        return self._coeffs.get(coset, Fraction(0))
+    _key_from_json = staticmethod(DoubleCoset.from_json)
 
-    def items(self) -> List[Tuple[DoubleCoset, Fraction]]:
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0].surface.sort_key())
-
-    def mass(self) -> Fraction:
-        return sum(self._coeffs.values(), Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, CosetAlgebraElement):
-            return NotImplemented
-        return (self.n, self.alpha, self.gamma, self._coeffs) == (
-            other.n,
-            other.alpha,
-            other.gamma,
-            other._coeffs,
-        )
-
-    def __repr__(self):
-        return "CosetAlgebraElement(n=%d, %d terms, mass=%s)" % (
-            self.n,
-            len(self._coeffs),
-            self.mass(),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "terms": [
-                {
-                    "surface": coset.to_json(),
-                    "coeff": str(val),
-                    "value": float(val),
-                }
-                for coset, val in self.items()
-            ],
-        }
+    def _term_json(self, key, val) -> dict:
+        return {"surface": key.to_json(), "coeff": str(val), "value": float(val)}
 
 
 def _check_pair(p: DoubleCoset, q: DoubleCoset) -> None:

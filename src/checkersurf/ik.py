@@ -9,12 +9,18 @@ Structure constants count bijections, so they are nonnegative integers.
 Projections to pair algebras: a surface of degree k lifts at degree
 m >= k to a multiple of a conjugacy-class sum in the group algebra of
 pairs of permutations, pairs being embedded as triples with identity
-third coordinate. The lift of one surface is the sum over all degree-m
-point embeddings of a concrete representative, which works out to the
-scalar z * (m - k + f)! / (m - k)! on the class sum, where f counts the
-double-triangle components and z is the order of the joint centralizer
-of the reduced pair. With that scalar the projection is an algebra
-homomorphism, which the tests enforce exactly.
+third coordinate. The lift of one surface is the sum over all (m)_k
+degree-m point embeddings of a concrete representative, which works out
+to the scalar z * (m - k + f)! / (m - k)! on the class sum, where f
+counts the double-triangle components and z is the order of the joint
+centralizer of the reduced pair. With that scalar the projection is an
+algebra homomorphism, which the tests enforce exactly.
+
+The conjugate of the padded pair by g depends only on g restricted to
+the k' = k - f points the pair moves, so the class is enumerated from
+the (m)_k' injections of those points into [m]. By orbit-stabilizer
+each pair of the class is hit by exactly z of them, so z = (m)_k' / |class|
+and the scalar, (m)_k / |class|, needs no separate centralizer count.
 """
 
 from __future__ import annotations
@@ -22,17 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
-from typing import Dict, List, Tuple
+from math import perm
+from typing import Dict, Tuple
 
 from checkersurf import kernel
-from checkersurf.convolution import GroupAlgebraElement
+from checkersurf.convolution import GroupAlgebraElement, SparseCombination
 from checkersurf.errors import SchemaError
 from checkersurf.perm import _invert
 from checkersurf.surface import (
     CheckerSurface,
     Triple,
-    canonical_form,
     checker_surface,
     disjoint_union,
 )
@@ -55,84 +60,34 @@ def _as_surface(p) -> CheckerSurface:
     raise SchemaError("expected a surface or a triple, got %r" % type(p).__name__)
 
 
-class IKElement:
+class IKElement(SparseCombination):
     """Sparse exact-rational combination of canonical surfaces."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _field = "surface"
 
-    def __init__(self, coeffs: Dict[CheckerSurface, Fraction] | None = None):
-        clean: Dict[CheckerSurface, Fraction] = {}
-        for key, val in (coeffs or {}).items():
-            if not isinstance(key, CheckerSurface):
-                raise SchemaError("basis keys must be canonical surfaces, got %r" % type(key).__name__)
-            val = Fraction(val)
-            if val != 0:
-                clean[key] = clean.get(key, Fraction(0)) + val
-                if clean[key] == 0:
-                    del clean[key]
-        object.__setattr__(self, "_coeffs", clean)
+    def _check_key(self, key) -> None:
+        if not isinstance(key, CheckerSurface):
+            raise SchemaError("basis keys must be canonical surfaces, got %r" % type(key).__name__)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IKElement is immutable")
+    @staticmethod
+    def _sort_key(item):
+        return item[0].sort_key()
+
+    @staticmethod
+    def _key_from_json(data) -> CheckerSurface:
+        return checker_surface(Triple.from_json(data))
 
     @classmethod
     def from_surface(cls, p) -> "IKElement":
         return cls({_as_surface(p): Fraction(1)})
 
-    def coefficient(self, p: CheckerSurface) -> Fraction:
-        return self._coeffs.get(p, Fraction(0))
-
-    def items(self) -> List[Tuple[CheckerSurface, Fraction]]:
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key())
-
-    def support_size(self) -> int:
-        return len(self._coeffs)
-
     def max_degree(self) -> int:
         """Filtration level: largest triangle-pair count in the support."""
         return max((s.n for s in self._coeffs), default=0)
 
-    def __add__(self, other: "IKElement") -> "IKElement":
-        out = dict(self._coeffs)
-        for key, val in other._coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return IKElement(out)
-
-    def __sub__(self, other: "IKElement") -> "IKElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "IKElement":
-        c = Fraction(c)
-        return IKElement({k: v * c for k, v in self._coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, IKElement):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
     def __repr__(self):
         return "IKElement(%d terms, max degree %d)" % (len(self._coeffs), self.max_degree())
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"surface": key.to_json(), "coeff": str(val)}
-                for key, val in self.items()
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "IKElement":
-        try:
-            terms = data["terms"]
-            coeffs = {}
-            for term in terms:
-                key = checker_surface(Triple.from_json(term["surface"]))
-                coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(term["coeff"])
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            # ArithmeticError: a coefficient like "1/0" or Infinity
-            raise SchemaError("malformed element data: %s" % exc) from None
-        return cls(coeffs)
 
 
 def _glue(p: CheckerSurface, q: CheckerSurface, dom: Tuple[int, ...], img: Tuple[int, ...]) -> CheckerSurface:
@@ -194,58 +149,39 @@ def ik_product(p, q) -> IKElement:
 
 
 @lru_cache(maxsize=None)
-def _reduced_centralizer_order(p: CheckerSurface) -> int:
-    """Order of the diagonal centralizer of the pair of p with its
-    double-triangle components removed."""
-    stripped = canonical_form(p.canonical_triple, 0, 0)
-    kk = stripped.n
-    ib = _invert(stripped._b)
-    ir = _invert(stripped._r)
-    g1 = tuple(stripped._y[ib[x]] for x in range(kk))
-    g2 = tuple(stripped._y[ir[x]] for x in range(kk))
-    count = 0
-    for h in permutations(range(kk)):
-        if all(h[g1[x]] == g1[h[x]] and h[g2[x]] == g2[h[x]] for x in range(kk)):
-            count += 1
-    return count
-
-
-@lru_cache(maxsize=None)
 def lift(p: CheckerSurface, m: int) -> GroupAlgebraElement:
     """The degree-m shadow of a basis surface: a scaled class sum of pairs.
 
     The pair of a surface is (yellow after blue inverse, yellow after red
     inverse); black-to-white composites, matching the direction the gluing
     product composes through matched triangles. Its diagonal conjugacy
-    class at degree m is enumerated outright, so keep m small. The scalar
-    counts the point embeddings that land on one fixed class member.
+    class at degree m is enumerated from the (m)_k' injections of its k'
+    moved points, so keep m small. The coefficient is the (m)_k point
+    embeddings spread evenly over the class (module docstring).
     """
     p = _as_surface(p)
     k = p.n
     if m < k:
         raise SchemaError("target degree %d is below the surface degree %d" % (m, k))
-    f = p.double_triangle_count()
-    scalar = Fraction(
-        _reduced_centralizer_order(p) * factorial(m - k + f), factorial(m - k)
-    )
     ib = _invert(p._b)
     ir = _invert(p._r)
-    g1 = tuple(p._y[ib[x]] for x in range(k)) + tuple(range(k, m))
-    g2 = tuple(p._y[ir[x]] for x in range(k)) + tuple(range(k, m))
+    g1 = [p._y[ib[x]] for x in range(k)]
+    g2 = [p._y[ir[x]] for x in range(k)]
+    moved = [x for x in range(k) if g1[x] != x or g2[x] != x]
+    index = {x: i for i, x in enumerate(moved)}
+    a1 = [index[g1[x]] for x in moved]
+    a2 = [index[g2[x]] for x in moved]
     ident = tuple(range(m))
     seen = set()
-    for g in permutations(range(m)):
-        ginv = _invert(g)
-        seen.add(
-            (
-                tuple(g[g1[ginv[x]]] for x in range(m)),
-                tuple(g[g2[ginv[x]]] for x in range(m)),
-            )
-        )
-    coeffs = {
-        Triple._from_zero_based(m, h1, h2, ident): scalar for h1, h2 in sorted(seen)
-    }
-    return GroupAlgebraElement(m, coeffs)
+    for inj in permutations(range(m), len(moved)):
+        h1 = list(ident)
+        h2 = list(ident)
+        for x, y in enumerate(inj):
+            h1[y] = inj[a1[x]]
+            h2[y] = inj[a2[x]]
+        seen.add(Triple._from_zero_based(m, h1, h2, ident))
+    coeff = perm(m, k) // len(seen)
+    return GroupAlgebraElement._from_clean(dict.fromkeys(seen, coeff), m)
 
 
 def project(x: IKElement, n: int) -> GroupAlgebraElement:
@@ -254,11 +190,14 @@ def project(x: IKElement, n: int) -> GroupAlgebraElement:
     Multiplicative against the gluing product, with convolution of pairs
     on the other side.
     """
-    out = GroupAlgebraElement(n, {})
-    for surf, co in x.items():
+    coeffs: Dict[Triple, Fraction] = {}
+    for surf, co in x._coeffs.items():
         if surf.n <= n:
-            out = out + lift(surf, n).scale(co)
-    return out
+            if co.denominator == 1:
+                co = co.numerator
+            for t, c in lift(surf, n)._coeffs.items():
+                coeffs[t] = coeffs.get(t, 0) + c * co
+    return GroupAlgebraElement._from_clean({t: c for t, c in coeffs.items() if c}, n)
 
 
 def poisson_bracket(p, q) -> IKElement:

@@ -61,12 +61,13 @@ class Triple:
 
     Stored at a fixed ambient degree n; equality ignores trailing points
     fixed by all three colors, matching Permutation equality componentwise.
+    The hash is computed on first use and kept in _h.
 
     >>> Triple("(1 2)", "()", "()", n=3) == Triple("(1 2)", "()", "()")
     True
     """
 
-    __slots__ = ("n", "_b", "_r", "_y")
+    __slots__ = ("n", "_b", "_r", "_y", "_h")
 
     def __init__(self, blue: PermLike, red: PermLike, yellow: PermLike, n: int | None = None):
         ib, ir, iy = _as_images(blue), _as_images(red), _as_images(yellow)
@@ -120,7 +121,12 @@ class Triple:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        try:
+            return self._h
+        except AttributeError:
+            h = hash(self._key())
+            object.__setattr__(self, "_h", h)
+            return h
 
     def __repr__(self) -> str:
         return "Triple(%s, %s, %s, n=%d)" % (self.blue, self.red, self.yellow, self.n)

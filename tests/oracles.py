@@ -5,10 +5,11 @@ from itertools import permutations
 from math import factorial
 
 from checkersurf import kernel
-from checkersurf.convolution import CosetAlgebraElement
+from checkersurf.convolution import CosetAlgebraElement, GroupAlgebraElement
 from checkersurf.cosets import DoubleCoset
+from checkersurf.ik import lift
 from checkersurf.perm import _invert, _pad
-from checkersurf.surface import LabeledSurface, components
+from checkersurf.surface import LabeledSurface, Triple, canonical_form, components
 
 
 def hsum_oracle(p: DoubleCoset, q: DoubleCoset, n: int) -> CosetAlgebraElement:
@@ -81,3 +82,55 @@ def assignment_sum_oracle(surface, xi) -> complex:
     for comp in components(surface):
         value *= component_sum([w - 1 for w in comp])
     return value
+
+
+def reduced_centralizer_order(p) -> int:
+    """Order of the diagonal centralizer of the pair of the canonical
+    surface p with its double-triangle components removed, by trying
+    every permutation of the remaining points."""
+    stripped = canonical_form(p.canonical_triple, 0, 0)
+    kk = stripped.n
+    ib = _invert(stripped._b)
+    ir = _invert(stripped._r)
+    g1 = tuple(stripped._y[ib[x]] for x in range(kk))
+    g2 = tuple(stripped._y[ir[x]] for x in range(kk))
+    count = 0
+    for h in permutations(range(kk)):
+        if all(h[g1[x]] == g1[h[x]] and h[g2[x]] == g2[h[x]] for x in range(kk)):
+            count += 1
+    return count
+
+
+def lift_oracle(p, m: int) -> GroupAlgebraElement:
+    """lift by conjugating the padded pair of p by all m! permutations,
+    with the scalar z (m - k + f)! / (m - k)! from the centralizer order
+    z of the reduced pair and the f double triangles of p."""
+    k = p.n
+    f = p.double_triangle_count()
+    scalar = Fraction(reduced_centralizer_order(p) * factorial(m - k + f), factorial(m - k))
+    ib = _invert(p._b)
+    ir = _invert(p._r)
+    g1 = tuple(p._y[ib[x]] for x in range(k)) + tuple(range(k, m))
+    g2 = tuple(p._y[ir[x]] for x in range(k)) + tuple(range(k, m))
+    ident = tuple(range(m))
+    seen = set()
+    for g in permutations(range(m)):
+        ginv = _invert(g)
+        seen.add(
+            (
+                tuple(g[g1[ginv[x]]] for x in range(m)),
+                tuple(g[g2[ginv[x]]] for x in range(m)),
+            )
+        )
+    coeffs = {Triple._from_zero_based(m, h1, h2, ident): scalar for h1, h2 in sorted(seen)}
+    return GroupAlgebraElement(m, coeffs)
+
+
+def project_fold_oracle(x, n: int) -> GroupAlgebraElement:
+    """project by folding each scaled lift into the sum through the
+    public +, one rebuild per surface."""
+    out = GroupAlgebraElement(n, {})
+    for surf, co in x.items():
+        if surf.n <= n:
+            out = out + lift(surf, n).scale(co)
+    return out

@@ -505,3 +505,64 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# JSON output: the direct writer against the stdlib encoding
+
+def stdlib_json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+ODD_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
+ODD_TEXT = st.sampled_from(["", "\u00e9t\u00e9", "\x00\x1f\n\t\"\\/", "\u2028\ud800", "\U0001f600"])
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | ODD_FLOATS | st.text(max_size=6)
+    | ODD_TEXT | st.just({}) | st.just([])
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.lists(st.integers(), max_size=6)
+    | st.dictionaries(st.text(max_size=4) | ODD_TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(payload=JSON_TREES)
+def test_json_writer_matches_stdlib_byte_for_byte(payload):
+    assert cli._json_text(payload) == stdlib_json_text(payload)
+
+
+def subcommand_argv(tmp_path, capsys, name):
+    three = write(tmp_path, "three.json", THREE)
+    pair = write(tmp_path, "pair.json", TRANSPOSITION)
+    if name == "ik-project":
+        rc, out, _ = invoke(capsys, "ik-product", three, pair, "--quiet")
+        assert rc == 0
+        return ["ik-project", write(tmp_path, "x.json", json.loads(out)), "--n", "4"]
+    coset = write(tmp_path, "coset.json", dict(TRANSPOSITION, alpha=0, beta=0))
+    return {
+        "canon": ["canon", three],
+        "product": ["product", three, pair, "--alpha", "1", "--beta", "1", "--gamma", "0"],
+        "concentrate": ["concentrate", coset, coset, "--n-from", "4", "--n-to", "6"],
+        "spherical": ["spherical", three, write(tmp_path, "xi.json", unit_tensor())],
+        "ik-product": ["ik-product", three, pair],
+        "poisson": ["poisson", three, pair],
+        "dessin": ["dessin", three, "--format", "json"],
+        "census": ["census", "--n", "3"],
+        "random": ["random", "--n", "5", "--seed", "3"],
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["canon", "product", "concentrate", "spherical", "ik-product", "ik-project", "poisson",
+     "dessin", "census", "random"],
+)
+def test_subcommand_json_matches_stdlib_encoding(tmp_path, capsys, name):
+    argv = subcommand_argv(tmp_path, capsys, name)
+    rc, out, err = invoke(capsys, *argv, "--quiet")
+    assert rc == 0, err
+    assert out == stdlib_json_text(json.loads(out))

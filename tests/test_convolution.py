@@ -16,6 +16,7 @@ from oracles import hsum_oracle
 
 from checkersurf import convolution, kernel
 from checkersurf.convolution import (
+    CosetAlgebraElement,
     GroupAlgebraElement,
     convolve,
     coset_decomposition,
@@ -26,6 +27,7 @@ from checkersurf.convolution import (
 )
 from checkersurf.cosets import DoubleCoset, circledast
 from checkersurf.errors import SchemaError
+from checkersurf.ik import IKElement
 from checkersurf.surface import Triple, canonical_form, random_triple
 
 
@@ -143,6 +145,25 @@ def test_degree_overflow_and_mismatch_are_rejected():
         )
     with pytest.raises(SchemaError):
         delta_subgroup(5, 4)
+
+
+def test_element_json_round_trips_and_rejects_arithmetic_errors():
+    rng = random.Random(26)
+    f = GroupAlgebraElement(
+        3, {random_triple(rng, 3): Fraction(rng.randint(-3, 5), rng.randint(1, 7)) for _ in range(4)}
+    )
+    assert GroupAlgebraElement.from_json(f.to_json()) == f
+    p = DoubleCoset.from_triple(Triple("(1 2)", "()", "()"), 0, 0)
+    decomp = coset_decomposition(p, p, 4)
+    assert CosetAlgebraElement.from_json(decomp.to_json()) == decomp
+    triple = {"n": 2, "blue": [2, 1], "red": [1, 2], "yellow": [1, 2]}
+    for coeff in ("1/0", float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(SchemaError):
+            GroupAlgebraElement.from_json({"n": 2, "terms": [{"triple": triple, "coeff": coeff}]})
+        with pytest.raises(SchemaError):
+            IKElement.from_json({"terms": [{"surface": triple, "coeff": coeff}]})
+    with pytest.raises(SchemaError):
+        GroupAlgebraElement.from_json({"n": float("inf"), "terms": []})
 
 
 def test_subgroup_uniform_support_mass_idempotence():

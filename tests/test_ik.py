@@ -12,6 +12,7 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
+from oracles import lift_oracle, project_fold_oracle, reduced_centralizer_order
 
 from checkersurf.convolution import GroupAlgebraElement, convolve
 from checkersurf.errors import SchemaError
@@ -178,6 +179,32 @@ def test_lift_support_is_one_conjugacy_class():
         assert len(forms) == 1
 
 
+def seeded_surfaces(count):
+    """Surfaces of degree 4-5, every third with a double triangle."""
+    rng = random.Random(82)
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            core = checker_surface(random_triple(rng, rng.randint(3, 4)))
+            out.append(graded_product(core, DT))
+        else:
+            out.append(checker_surface(random_triple(rng, rng.randint(4, 5))))
+    return out
+
+
+def test_lift_matches_the_full_conjugation_oracle():
+    surfaces = basis(3) + seeded_surfaces(40)
+    assert sum(1 for p in surfaces if p.double_triangle_count()) >= 20
+    for p in surfaces:
+        k, f = p.n, p.double_triangle_count()
+        for m in range(k, 7):
+            el, want = lift(p, m), lift_oracle(p, m)
+            assert el == want and el.items() == want.items()
+            # orbit-stabilizer: class size times the centralizer at m
+            centralizer = reduced_centralizer_order(p) * factorial(m - k + f)
+            assert el.support_size() * centralizer == factorial(m)
+
+
 def test_lift_below_surface_degree_is_rejected():
     with pytest.raises(SchemaError):
         lift(DT2, 1)
@@ -194,6 +221,35 @@ def test_projection_of_unit_is_identity_point_mass():
 def test_projection_drops_surfaces_above_target_degree():
     x = IKElement.from_surface(checker_surface(random_triple(random.Random(74), 3)))
     assert project(x, 2) == GroupAlgebraElement(2, {})
+
+
+def test_projection_matches_the_fold_of_scaled_lifts():
+    rng = random.Random(83)
+    cancelled = 0
+    for _ in range(100):
+        n = rng.randint(4, 5)
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            s = checker_surface(random_triple(rng, rng.randint(1, n + 1)))
+            coeffs[s] = Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.randint(1, 6))
+        # s and s with one more double triangle lift onto one class: weigh
+        # them so that the class cancels
+        s = checker_surface(random_triple(rng, rng.randint(0, 3)))
+        sd = graded_product(s, DT)
+        t, c1 = lift(sd, n).items()[0]
+        c2 = lift(s, n).coefficient(t)
+        a = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        coeffs[sd] = coeffs.get(sd, 0) + a
+        coeffs[s] = coeffs.get(s, 0) - a * c1 / c2
+        x = IKElement(coeffs)
+        got = project(x, n)
+        want = project_fold_oracle(x, n)
+        assert got == want
+        assert all(c != 0 for c in got._coeffs.values())
+        if want.coefficient(t) == 0:
+            assert t not in got._coeffs
+            cancelled += 1
+    assert cancelled >= 50
 
 
 def test_projection_of_double_triangle_square():
