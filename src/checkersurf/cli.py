@@ -33,6 +33,7 @@ from checkersurf.spherical import (
     spherical_oracle,
 )
 from checkersurf.surface import (
+    CheckerSurface,
     Triple,
     canonical_form,
     checker_surface,
@@ -332,8 +333,9 @@ def cmd_ik_project(args) -> None:
     lifted = sum(1 for surface, _ in x.items() if surface.n <= args.n)
     if lifted and _factorial_over(args.n, args.max_terms // lifted):
         raise BudgetError(
-            "lifting %d surfaces to degree %d enumerates %d x %d! permutations, "
-            "over the %d budget" % (lifted, args.n, lifted, args.n, args.max_terms)
+            "lifting %d surfaces to degree %d is charged %d x %d!, an upper bound "
+            "on the injections it enumerates, over the %d budget"
+            % (lifted, args.n, lifted, args.n, args.max_terms)
         )
     _emit_element(project(x, args.n), args)
 
@@ -348,14 +350,7 @@ def cmd_dessin(args) -> None:
     t = _load_triple(args.input)
     dessin = to_dessin(t)
     if args.format == "json":
-        payload = {
-            "n": dessin.n,
-            "red_vertices": [list(c) for c in dessin.red_vertices],
-            "yellow_vertices": [list(c) for c in dessin.yellow_vertices],
-            "faces": [list(c) for c in dessin.faces],
-            "edges": [list(e) for e in dessin.edges],
-        }
-        _emit(_json_text(payload), args)
+        _emit(_json_text(dessin.to_json()), args)
     else:
         _emit(dessin.to_dot() + "\n", args)
 
@@ -423,7 +418,7 @@ def cmd_census(args) -> None:
             )
         breakdown = {}
         for code in seen:
-            s = checker_surface(Triple._from_zero_based(code[0], *code[1:]))
+            s = CheckerSurface(*code)
             key = (len(s.component_partition), sum(s.genus_by_component))
             breakdown[key] = breakdown.get(key, 0) + 1
         report.append((d, len(seen), expected, breakdown))
@@ -474,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Calculus of checker triangulated surfaces.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument(
         "--format",
         choices=("json", "tsv", "dot"),
         default=None,
-        help="output format (default json; dot for dessins)",
+        help="output format; each subcommand prints some of these and refuses "
+        "the rest (default json; dot for dessin)",
     )
     common.add_argument("--quiet", action="store_true", help="suppress status notes")
     common.add_argument("--output", help="write the result to this file atomically")
@@ -492,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_canon.add_argument("input", help="triple JSON file")
     p_canon.add_argument("--alpha", type=int, default=0, help="black labels")
     p_canon.add_argument("--beta", type=int, default=0, help="white labels")
-    p_canon.set_defaults(func=cmd_canon)
+    p_canon.set_defaults(func=cmd_canon, formats=("json", "tsv", "dot"))
 
     p_prod = sub.add_parser(
         "product",
@@ -505,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prod.add_argument("--alpha", type=int, required=True)
     p_prod.add_argument("--beta", type=int, required=True)
     p_prod.add_argument("--gamma", type=int, required=True)
-    p_prod.set_defaults(func=cmd_product)
+    p_prod.set_defaults(func=cmd_product, formats=("json", "tsv", "dot"))
 
     p_conc = sub.add_parser(
         "concentrate", parents=[common], help="concentration series and decompositions"
@@ -522,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "up to --n-to; separately, the largest degree an input may ask for "
         "(default %d)" % DEFAULT_MAX_TERMS,
     )
-    p_conc.set_defaults(func=cmd_concentrate)
+    p_conc.set_defaults(func=cmd_concentrate, formats=("json", "tsv"))
 
     p_sph = sub.add_parser(
         "spherical", parents=[common], help="spherical value by both paths"
@@ -536,14 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest permitted number of multiply-adds of the planned "
         "contraction; also caps the input's degree (default %d)" % DEFAULT_MAX_ASSIGNMENTS,
     )
-    p_sph.set_defaults(func=cmd_spherical)
+    p_sph.set_defaults(func=cmd_spherical, formats=("json", "tsv"))
 
     p_ikp = sub.add_parser(
         "ik-product", parents=[common], help="gluing product in the surface algebra"
     )
     p_ikp.add_argument("left", help="triple JSON file")
     p_ikp.add_argument("right", help="triple JSON file")
-    p_ikp.set_defaults(func=cmd_ik_product)
+    p_ikp.set_defaults(func=cmd_ik_product, formats=("json", "tsv"))
 
     p_ikj = sub.add_parser(
         "ik-project", parents=[common], help="projection to a pair group algebra"
@@ -559,20 +554,20 @@ def build_parser() -> argparse.ArgumentParser:
         "points that its lift enumerates); separately, the largest degree an "
         "input surface may ask for (default %d)" % DEFAULT_MAX_TERMS,
     )
-    p_ikj.set_defaults(func=cmd_ik_project)
+    p_ikj.set_defaults(func=cmd_ik_project, formats=("json", "tsv"))
 
     p_poi = sub.add_parser(
         "poisson", parents=[common], help="Poisson bracket of two surfaces"
     )
     p_poi.add_argument("left", help="triple JSON file")
     p_poi.add_argument("right", help="triple JSON file")
-    p_poi.set_defaults(func=cmd_poisson)
+    p_poi.set_defaults(func=cmd_poisson, formats=("json", "tsv"))
 
     p_des = sub.add_parser(
         "dessin", parents=[common], help="bipartite graph of the blue edges"
     )
     p_des.add_argument("input", help="triple JSON file")
-    p_des.set_defaults(func=cmd_dessin, dot_default=True)
+    p_des.set_defaults(func=cmd_dessin, formats=("dot", "json"))
 
     p_cen = sub.add_parser(
         "census", parents=[common], help="pair classes by degree with statistics"
@@ -584,13 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_TERMS,
         help="largest permitted enumeration (default %d)" % DEFAULT_MAX_TERMS,
     )
-    p_cen.set_defaults(func=cmd_census)
+    p_cen.set_defaults(func=cmd_census, formats=("json", "tsv"))
 
     p_rnd = sub.add_parser(
         "random", parents=[common], help="seeded uniform random triple"
     )
     p_rnd.add_argument("--n", type=int, required=True, help="degree")
-    p_rnd.set_defaults(func=cmd_random)
+    p_rnd.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_rnd.set_defaults(func=cmd_random, formats=("json", "tsv"))
 
     return parser
 
@@ -598,8 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = "dot" if getattr(args, "dot_default", False) else "json"
+    # formats lists what the subcommand prints, its default first
+    args.format = args.format or args.formats[0]
+    if args.format not in args.formats:
+        parser.error("%s prints only --format %s" % (args.command, " or ".join(args.formats)))
     try:
         args.func(args)
     except SchemaError as exc:

@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from checkersurf import kernel
 from checkersurf.errors import SchemaError
-from checkersurf.cosets import DoubleCoset, circledast
+from checkersurf.cosets import DoubleCoset, _check_pair, circledast
 from checkersurf.perm import _pad
 from checkersurf.surface import LabeledSurface, Triple
 
@@ -48,16 +48,6 @@ __all__ = [
     "matching_count",
     "sigma_series",
 ]
-
-
-def _triple_mul(s: Triple, t: Triple, n: int) -> Triple:
-    """Componentwise product (apply t first) at ambient degree n."""
-    out = []
-    for a, b in ((s._b, t._b), (s._r, t._r), (s._y, t._y)):
-        a = _pad(a, n)
-        b = _pad(b, n)
-        out.append(tuple(a[b[x]] for x in range(n)))
-    return Triple._from_zero_based(n, *out)
 
 
 class SparseCombination:
@@ -220,10 +210,17 @@ def convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElem
     if f.n != g.n:
         raise SchemaError("ambient degrees differ: %d vs %d" % (f.n, g.n))
     n = f.n
+
+    def arrays(t: Triple):
+        # a key may carry trailing fixed points beyond n
+        return [_pad(arr[:n], n) for arr in (t._b, t._r, t._y)]
+
+    right = [(arrays(z), gz) for z, gz in g._coeffs.items()]
     out: Dict[Triple, Fraction] = {}
     for y, fy in f._coeffs.items():
-        for z, gz in g._coeffs.items():
-            x = _triple_mul(y, z, n)
+        ys = arrays(y)
+        for zs, gz in right:
+            x = Triple._from_zero_based(n, *[[a[v] for v in b] for a, b in zip(ys, zs)])
             val = out.get(x, 0) + fy * gz
             if val:
                 out[x] = val
@@ -253,13 +250,6 @@ class CosetAlgebraElement(SparseCombination):
 
     def _term_json(self, key, val) -> dict:
         return {"surface": key.to_json(), "coeff": str(val), "value": float(val)}
-
-
-def _check_pair(p: DoubleCoset, q: DoubleCoset) -> None:
-    if p.beta != q.alpha:
-        raise SchemaError(
-            "inner label counts differ: left beta=%d, right alpha=%d" % (p.beta, q.alpha)
-        )
 
 
 def _least_matched(p: DoubleCoset, q: DoubleCoset, n: int) -> int:

@@ -11,7 +11,8 @@ product has two independent realizations kept in agreement by tests:
 * concat_geometric: remove the beta labeled white triangles of the left
   factor and the beta labeled black triangles of the right factor, glue
   the freed boundaries color to color, and canonicalize the resulting
-  cell complex.
+  cell complex. The cut and reglue is surface._glued, the same routine
+  the gluing product of the surface algebra uses (checkersurf.ik).
 
 >>> p = DoubleCoset.from_triple(Triple("(1 2)", "()", "()"), 0, 0)
 >>> circledast(p, p).surface.n
@@ -23,8 +24,8 @@ from __future__ import annotations
 from typing import Tuple
 
 from checkersurf.errors import InvariantError, SchemaError
-from checkersurf.perm import Permutation, _invert, _pad
-from checkersurf.surface import LabeledSurface, Triple, canonical_form
+from checkersurf.perm import Permutation, _pad
+from checkersurf.surface import LabeledSurface, Triple, _glued, canonical_form, reverse
 
 __all__ = [
     "DoubleCoset",
@@ -119,6 +120,15 @@ class DoubleCoset:
         return cls(LabeledSurface.from_json(data))
 
 
+def _check_pair(p, q) -> None:
+    """Refuse a product whose inner label counts differ; p and q are double
+    cosets or labeled surfaces."""
+    if p.beta != q.alpha:
+        raise SchemaError(
+            "inner label counts differ: left beta=%d, right alpha=%d" % (p.beta, q.alpha)
+        )
+
+
 def _shift_product(tp: Triple, tq: Triple, alpha: int, beta: int, gamma: int, j: int) -> LabeledSurface:
     """canonical_form(rep_p * Theta_j[beta] * rep_q) at ambient beta + 2j."""
     n = beta + 2 * j
@@ -157,10 +167,7 @@ def circledast(p: DoubleCoset, q: DoubleCoset) -> DoubleCoset:
     >>> circledast(p, e) == p and circledast(e, p) == p
     True
     """
-    if p.beta != q.alpha:
-        raise SchemaError(
-            "inner label counts differ: left beta=%d, right alpha=%d" % (p.beta, q.alpha)
-        )
+    _check_pair(p, q)
     return DoubleCoset(
         circledast_with_reps(p.surface.triple, q.surface.triple, p.alpha, p.beta, q.beta)
     )
@@ -169,51 +176,21 @@ def circledast(p: DoubleCoset, q: DoubleCoset) -> DoubleCoset:
 def concat_geometric(P: LabeledSurface, Q: LabeledSurface) -> LabeledSurface:
     """Geometric realization of the product over explicit cells.
 
-    Remove Q's labeled black triangles and P's labeled white triangles,
-    glue the freed boundaries color to color (P's white j against Q's
-    black j), renumber, canonicalize. The result keeps P's alpha black
-    labels and Q's gamma white labels.
+    Remove Q's beta labeled black triangles and P's beta labeled white
+    triangles and glue Q's black j to P's white j: surface._glued(Q, P,
+    range(beta), range(beta)). Its numbering puts Q's whites first and
+    P's blacks first, so Q's gamma white labels and P's alpha black
+    labels keep their slots, and the result is canonicalized with them.
     """
-    if isinstance(P, DoubleCoset):
-        P = P.surface
-    if isinstance(Q, DoubleCoset):
-        Q = Q.surface
-    if P.beta != Q.alpha:
-        raise SchemaError(
-            "inner label counts differ: left beta=%d, right alpha=%d" % (P.beta, Q.alpha)
-        )
-    beta = P.beta
-    np_, nq = P.n, Q.n
-    n_res = nq + np_ - beta
-    # result whites: Q's whites first (labels 1..gamma stay in place), then
-    # P's surviving whites; result blacks: P's blacks first (labels 1..alpha
-    # stay in place), then Q's surviving blacks.
-    arrs = []
-    for pc, qc in ((P._b, Q._b), (P._r, Q._r), (P._y, Q._y)):
-        col = []
-        for w in range(nq):
-            t = qc[w]
-            if t < beta:
-                col.append(pc[t])  # edge passes through the glued boundary
-            else:
-                col.append(np_ + t - beta)
-        for w in range(beta, np_):
-            col.append(pc[w])
-        arrs.append(tuple(col))
-    glued = Triple._from_zero_based(n_res, *arrs)
+    _check_pair(P, Q)
+    labeled = range(P.beta)
+    glued = Triple._from_zero_based(*_glued(Q, P, labeled, labeled))
     return canonical_form(glued, P.alpha, Q.beta)
 
 
 def star(p: DoubleCoset) -> DoubleCoset:
     """The involution: componentwise inverse, labels swap sides."""
-    t = p.surface.triple
-    inv = Triple._from_zero_based(
-        t.n,
-        _invert(t._b),
-        _invert(t._r),
-        _invert(t._y),
-    )
-    return DoubleCoset.from_triple(inv, p.beta, p.alpha)
+    return DoubleCoset.from_triple(reverse(p.surface.triple), p.beta, p.alpha)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ The product sums over partial bijections from the black triangles of the
 left factor to the white triangles of the right factor; each bijection
 glues the matched triangle pairs away and the result is canonicalized.
 Structure constants count bijections, so they are nonnegative integers.
+The cut and reglue is surface._glued, shared with the geometric coset
+product (checkersurf.cosets): the result numbers the left factor's
+whites first, then the right factor's unmatched whites, and the right
+factor's blacks first, then the left factor's unmatched blacks. The
+label-free canonical form forgets that numbering.
 
 Projections to pair algebras: a surface of degree k lifts at degree
 m >= k to a multiple of a conjugacy-class sum in the group algebra of
@@ -38,6 +43,7 @@ from checkersurf.perm import _invert
 from checkersurf.surface import (
     CheckerSurface,
     Triple,
+    _glued,
     checker_surface,
     disjoint_union,
 )
@@ -91,42 +97,9 @@ class IKElement(SparseCombination):
 
 
 def _glue(p: CheckerSurface, q: CheckerSurface, dom: Tuple[int, ...], img: Tuple[int, ...]) -> CheckerSurface:
-    """Remove the matched blacks of p and whites of q, route the edges of
-    each matched white's neighbors through, canonicalize the rest."""
-    m, n = p.n, q.n
-    s = dict(zip(dom, img))
-    image = set(img)
-    k = len(dom)
-    new_black = {}
-    nxt = 0
-    for b in range(m):
-        if b not in s:
-            new_black[b] = nxt
-            nxt += 1
-    off = nxt
-    new_white = {}
-    w_nxt = m
-    for w in range(n):
-        if w not in image:
-            new_white[w] = w_nxt
-            w_nxt += 1
-    size = m + n - k
-    p_arrs = (p._b, p._r, p._y)
-    q_arrs = (q._b, q._r, q._y)
-    cols = []
-    for c in range(3):
-        pc = p_arrs[c]
-        qc = q_arrs[c]
-        col = [0] * size
-        for w in range(m):
-            t = pc[w]
-            col[w] = off + qc[s[t]] if t in s else new_black[t]
-        for w in range(n):
-            if w not in image:
-                col[new_white[w]] = off + qc[w]
-        cols.append(col)
-    n2, b2, r2, y2 = kernel.canonical_code(size, cols[0], cols[1], cols[2], 0, 0, False)
-    return CheckerSurface(n2, b2, r2, y2)
+    """One gluing: surface._glued, canonicalized label-free, which does
+    not depend on the numbering _glued fixes."""
+    return CheckerSurface(*kernel.canonical_code(*_glued(p, q, dom, img), 0, 0, False))
 
 
 def ik_product(p, q) -> IKElement:

@@ -4,7 +4,8 @@ A closed oriented surface glued from n white and n black triangles with
 3-colored edges is the same data as a triple of permutations: white
 triangle j meets black triangle p^c(j) along its color-c edge. This module
 holds the dictionary in both directions, the component / vertex / Euler
-analytics, the two canonical-form types, and the dessin export.
+analytics, the two canonical-form types on one base, the cut and reglue
+that both gluing products use, and the dessin export.
 
 >>> t = Triple("(1 2)", "()", "()")
 >>> [len(c) for c in components(t)]
@@ -15,6 +16,7 @@ analytics, the two canonical-form types, and the dessin export.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from checkersurf import kernel
@@ -390,59 +392,85 @@ def reverse(t: Triple) -> Triple:
     return Triple._from_zero_based(t.n, _invert(t._b), _invert(t._r), _invert(t._y))
 
 
-class LabeledSurface:
-    """Canonical representative of a double coset: alpha black labels,
-    beta white labels, unlabeled double triangles stripped.
+class _CanonicalSurface:
+    """Storage, order and export shared by the canonical surface types.
 
-    Equality is degree-aware; obtain instances through canonical_form.
+    A subclass names its leading integer parameters in _params; the
+    constructor takes those, then the degree n and the three 0-based
+    gluing arrays. Instances are immutable and ordered by sort_key, the
+    parameters followed by n and the arrays; instances of different
+    types never compare equal.
     """
 
-    __slots__ = ("alpha", "beta", "n", "_b", "_r", "_y")
+    __slots__ = ("n", "_b", "_r", "_y")
+    _params: Tuple[str, ...] = ()
 
-    def __init__(self, alpha: int, beta: int, n: int, b, r, y):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_b", tuple(b))
-        object.__setattr__(self, "_r", tuple(r))
-        object.__setattr__(self, "_y", tuple(y))
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._params + _CanonicalSurface.__slots__
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args):
+        values = (*args[:-3], *map(tuple, args[-3:]))
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
-        raise AttributeError("LabeledSurface is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @property
     def triple(self) -> Triple:
         return Triple._from_zero_based(self.n, self._b, self._r, self._y)
 
     def sort_key(self):
-        return (self.alpha, self.beta, self.n, self._b, self._r, self._y)
+        return self._key(self)
 
     def __eq__(self, other):
-        if not isinstance(other, LabeledSurface):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.sort_key() == other.sort_key()
+        return self._key(self) == other._key(other)
 
     def __hash__(self):
-        return hash(self.sort_key())
+        return hash(self._key(self))
 
-    def __lt__(self, other: "LabeledSurface"):
+    def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
     def __repr__(self):
-        return "LabeledSurface(alpha=%d, beta=%d, n=%d, %s, %s, %s)" % (
-            self.alpha,
-            self.beta,
-            self.n,
-            self.triple.blue,
-            self.triple.red,
-            self.triple.yellow,
-        )
+        t = self.triple
+        params = "".join("%s=%d, " % (name, getattr(self, name)) for name in self._fields[:-3])
+        return "%s(%s%s, %s, %s)" % (type(self).__name__, params, t.blue, t.red, t.yellow)
 
     def to_json(self) -> dict:
         data = self.triple.to_json()
-        data["alpha"] = self.alpha
-        data["beta"] = self.beta
+        for name in self._params:
+            data[name] = getattr(self, name)
         return data
+
+    def describe(self) -> dict:
+        """Triple JSON plus components, chi, genus, and the vertex census."""
+        t = self.triple
+        comps = components(t)
+        chis = [euler_characteristic(t, comp) for comp in comps]
+        census = vertex_census(t)
+        data = self.to_json()
+        data["components"] = [list(c) for c in comps]
+        data["chi"] = chis
+        data["genus"] = [genus(chi) for chi in chis]
+        data["vertices"] = {color: [list(c) for c in getattr(census, color)] for color in COLORS}
+        return data
+
+
+class LabeledSurface(_CanonicalSurface):
+    """Canonical representative of a double coset: alpha black labels,
+    beta white labels, unlabeled double triangles stripped.
+
+    Built as LabeledSurface(alpha, beta, n, b, r, y). Equality is
+    degree-aware; obtain instances through canonical_form.
+    """
+
+    __slots__ = ("alpha", "beta")
+    _params = ("alpha", "beta")
 
     @classmethod
     def from_json(cls, data: dict) -> "LabeledSurface":
@@ -462,56 +490,20 @@ class LabeledSurface:
                 raise SchemaError("%s must be an integer in 0..%d, got %r" % (name, t.n, value))
         return canonical_form(t, alpha, beta)
 
-    def describe(self) -> dict:
-        """Triple JSON plus components, chi, genus, and the vertex census."""
-        return _describe(self.triple, self.to_json())
 
-
-class CheckerSurface:
+class CheckerSurface(_CanonicalSurface):
     """Canonical representative of a triple up to the label-free relabeling
     action, double triangles kept.
 
-    The basis objects of the filtered surface algebra; also the census
-    keys. Equality is degree-aware: k disjoint double triangles at degree k
-    and at degree k+1 are different elements.
+    Built as CheckerSurface(n, b, r, y). The basis objects of the filtered
+    surface algebra; also the census keys. Equality is degree-aware: k
+    disjoint double triangles at degree k and at degree k+1 are different
+    elements.
     """
 
-    __slots__ = ("n", "_b", "_r", "_y")
+    __slots__ = ()
 
-    def __init__(self, n: int, b, r, y):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_b", tuple(b))
-        object.__setattr__(self, "_r", tuple(r))
-        object.__setattr__(self, "_y", tuple(y))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckerSurface is immutable")
-
-    @property
-    def canonical_triple(self) -> Triple:
-        return Triple._from_zero_based(self.n, self._b, self._r, self._y)
-
-    @property
-    def triple(self) -> Triple:
-        return self.canonical_triple
-
-    def sort_key(self):
-        return (self.n, self._b, self._r, self._y)
-
-    def __eq__(self, other):
-        if not isinstance(other, CheckerSurface):
-            return NotImplemented
-        return self.sort_key() == other.sort_key()
-
-    def __hash__(self):
-        return hash(self.sort_key())
-
-    def __lt__(self, other: "CheckerSurface"):
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self):
-        t = self.canonical_triple
-        return "CheckerSurface(n=%d, %s, %s, %s)" % (self.n, t.blue, t.red, t.yellow)
+    canonical_triple = _CanonicalSurface.triple
 
     @property
     def component_partition(self) -> List[Tuple[int, ...]]:
@@ -532,24 +524,6 @@ class CheckerSurface:
 
     def double_triangle_count(self) -> int:
         return sum(1 for comp in self.component_partition if len(comp) == 1)
-
-    def to_json(self) -> dict:
-        return self.canonical_triple.to_json()
-
-    def describe(self) -> dict:
-        return _describe(self.canonical_triple, self.to_json())
-
-
-def _describe(t: Triple, base: dict) -> dict:
-    comps = components(t)
-    chis = [euler_characteristic(t, comp) for comp in comps]
-    census = vertex_census(t)
-    base = dict(base)
-    base["components"] = [list(c) for c in comps]
-    base["chi"] = chis
-    base["genus"] = [genus(chi) for chi in chis]
-    base["vertices"] = {color: [list(c) for c in getattr(census, color)] for color in COLORS}
-    return base
 
 
 def canonical_form(t: Triple, alpha: int, beta: int) -> LabeledSurface:
@@ -686,6 +660,32 @@ def disjoint_union(t1: Triple, t2: Triple) -> Triple:
     r = t1._r + tuple(x + n1 for x in t2._r)
     y = t1._y + tuple(x + n1 for x in t2._y)
     return Triple._from_zero_based(n1 + t2.n, b, r, y)
+
+
+def _glued(p, q, dom: Sequence[int], img: Sequence[int]) -> Tuple[int, List[int], List[int], List[int]]:
+    """Cut and reglue: remove p's blacks dom and q's whites img, glue black
+    dom[i] to white img[i] color to color, and route each edge of p into a
+    removed black through to the matched white's neighbor in q.
+
+    p and q are anything with n and 0-based _b, _r, _y arrays. Returns the
+    degree and the 0-based blue, red and yellow arrays, numbered with p's
+    whites first, then q's unmatched whites in order, and q's blacks
+    first, then p's unmatched blacks in order.
+
+    >>> _glued(Triple("()", "()", "()", n=1), Triple("(1 2)", "()", "()"), (0,), (0,))
+    (2, [1, 0], [0, 1], [0, 1])
+    """
+    m, n = p.n, q.n
+    to = [0] * m  # to[t]: the black that an edge of p into black t now reaches
+    for i, t in enumerate([t for t in range(m) if t not in dom]):
+        to[t] = n + i
+    free = [w for w in range(n) if w not in img]
+    cols = []
+    for pc, qc in ((p._b, q._b), (p._r, q._r), (p._y, q._y)):
+        for t, w in zip(dom, img):
+            to[t] = qc[w]
+        cols.append([to[t] for t in pc] + [qc[w] for w in free])
+    return m + n - len(dom), cols[0], cols[1], cols[2]
 
 
 def random_triple(rng, n: int) -> Triple:

@@ -9,7 +9,13 @@ from checkersurf.convolution import CosetAlgebraElement, GroupAlgebraElement
 from checkersurf.cosets import DoubleCoset
 from checkersurf.ik import lift
 from checkersurf.perm import _invert, _pad
-from checkersurf.surface import LabeledSurface, Triple, canonical_form, components
+from checkersurf.surface import (
+    CheckerSurface,
+    LabeledSurface,
+    Triple,
+    canonical_form,
+    components,
+)
 
 
 def hsum_oracle(p: DoubleCoset, q: DoubleCoset, n: int) -> CosetAlgebraElement:
@@ -134,3 +140,55 @@ def project_fold_oracle(x, n: int) -> GroupAlgebraElement:
         if surf.n <= n:
             out = out + lift(surf, n).scale(co)
     return out
+
+
+def concat_geometric_oracle(P, Q) -> LabeledSurface:
+    """concat_geometric by its own edge-routing loop over the labeled
+    surfaces P and Q (P.beta == Q.alpha): result whites are Q's whites,
+    then P's unlabeled whites; result blacks are P's blacks, then Q's
+    unlabeled blacks, so both label sets keep their slots."""
+    beta = P.beta
+    np_, nq = P.n, Q.n
+    arrs = []
+    for pc, qc in ((P._b, Q._b), (P._r, Q._r), (P._y, Q._y)):
+        col = []
+        for w in range(nq):
+            t = qc[w]
+            if t < beta:
+                col.append(pc[t])  # edge passes through the glued boundary
+            else:
+                col.append(np_ + t - beta)
+        for w in range(beta, np_):
+            col.append(pc[w])
+        arrs.append(tuple(col))
+    glued = Triple._from_zero_based(nq + np_ - beta, *arrs)
+    return canonical_form(glued, P.alpha, Q.beta)
+
+
+def glue_oracle(p, q, dom, img) -> CheckerSurface:
+    """ik._glue by its own edge-routing loop: p's unmatched blacks first,
+    then q's blacks; p's whites first, then q's unmatched whites."""
+    m, n = p.n, q.n
+    s = dict(zip(dom, img))
+    image = set(img)
+    new_black = {}
+    for b in range(m):
+        if b not in s:
+            new_black[b] = len(new_black)
+    off = len(new_black)
+    new_white = {}
+    for w in range(n):
+        if w not in image:
+            new_white[w] = m + len(new_white)
+    size = m + n - len(dom)
+    cols = []
+    for pc, qc in ((p._b, q._b), (p._r, q._r), (p._y, q._y)):
+        col = [0] * size
+        for w in range(m):
+            t = pc[w]
+            col[w] = off + qc[s[t]] if t in s else new_black[t]
+        for w, slot in new_white.items():
+            col[slot] = off + qc[w]
+        cols.append(col)
+    n2, b2, r2, y2 = kernel.canonical_code(size, cols[0], cols[1], cols[2], 0, 0, False)
+    return CheckerSurface(n2, b2, r2, y2)

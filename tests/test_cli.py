@@ -507,6 +507,32 @@ def test_usage_error_exits_two(capsys):
     assert info.value.code == 2
 
 
+# subcommands that print no DOT; the input files need not exist, since
+# the arguments are refused before any is read
+NO_DOT = [
+    ["concentrate", "l.json", "r.json"],
+    ["spherical", "s.json", "xi.json"],
+    ["ik-product", "l.json", "r.json"],
+    ["ik-project", "x.json", "--n", "3"],
+    ["poisson", "l.json", "r.json"],
+    ["census", "--n", "3"],
+    ["random", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv + ["--format", "dot"] for argv in NO_DOT]
+    + [["dessin", "t.json", "--format", "tsv"], ["canon", "t.json", "--seed", "3"]],
+    ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
+)
+def test_unprinted_format_or_foreign_option_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # JSON output: the direct writer against the stdlib encoding
 
 def stdlib_json_text(payload):

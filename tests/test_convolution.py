@@ -23,11 +23,11 @@ from checkersurf.convolution import (
     delta_subgroup,
     matching_count,
     sigma_series,
-    _triple_mul,
 )
 from checkersurf.cosets import DoubleCoset, circledast
 from checkersurf.errors import SchemaError
 from checkersurf.ik import IKElement
+from checkersurf.perm import compose
 from checkersurf.surface import Triple, canonical_form, random_triple
 
 
@@ -69,7 +69,8 @@ def test_point_masses_multiply_like_group_elements():
         x = random_triple(rng, n)
         y = random_triple(rng, n)
         lhs = convolve(GroupAlgebraElement.delta(x, n), GroupAlgebraElement.delta(y, n))
-        assert lhs == GroupAlgebraElement.delta(_triple_mul(x, y, n), n)
+        xy = Triple(*(compose(getattr(x, c), getattr(y, c)) for c in ("blue", "red", "yellow")), n=n)
+        assert lhs == GroupAlgebraElement.delta(xy, n)
 
 
 def test_identity_point_mass_is_neutral():

@@ -7,6 +7,7 @@ both paths are computed on every sampled pair and must agree.
 import random
 
 import pytest
+from oracles import concat_geometric_oracle
 
 from checkersurf.errors import SchemaError
 from checkersurf.perm import Permutation, compose
@@ -164,6 +165,20 @@ def test_concat_equals_circledast_random():
         P = rand_coset(rng, n1, alpha, beta)
         Q = rand_coset(rng, n2, beta, gamma)
         assert concat_geometric(P.surface, Q.surface) == circledast(P, Q).surface
+
+
+def test_concat_geometric_matches_the_loop_oracle():
+    rng = random.Random(74)
+    edge_cases = 0
+    for i in range(600):
+        n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
+        # beta = 0 (disjoint union), beta = a factor's degree, or in between
+        beta = (0, min(n1, n2), rng.randint(0, min(n1, n2)))[i % 3]
+        P = canonical_form(random_triple(rng, n1), rng.randint(0, n1), beta)
+        Q = canonical_form(random_triple(rng, n2), beta, rng.randint(0, n2))
+        edge_cases += beta == 0 or beta in (P.n, Q.n)
+        assert concat_geometric(P, Q) == concat_geometric_oracle(P, Q)
+    assert edge_cases >= 400
 
 
 def test_star_examples_and_laws():

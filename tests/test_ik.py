@@ -8,16 +8,17 @@ from the bootstrap identities that force them.
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
-from oracles import lift_oracle, project_fold_oracle, reduced_centralizer_order
+from oracles import glue_oracle, lift_oracle, project_fold_oracle, reduced_centralizer_order
 
 from checkersurf.convolution import GroupAlgebraElement, convolve
 from checkersurf.errors import SchemaError
 from checkersurf.ik import (
     IKElement,
+    _glue,
     graded_product,
     ik_product,
     lift,
@@ -190,6 +191,20 @@ def seeded_surfaces(count):
         else:
             out.append(checker_surface(random_triple(rng, rng.randint(4, 5))))
     return out
+
+
+def test_glue_matches_the_loop_oracle_on_every_partial_bijection():
+    rng = random.Random(86)
+    gluings = 0
+    for i in range(60):
+        p = checker_surface(random_triple(rng, 4 - i % 5))
+        q = checker_surface(random_triple(rng, rng.randint(2, 4)))
+        for k in range(min(p.n, q.n) + 1):
+            for dom in combinations(range(p.n), k):
+                for img in permutations(range(q.n), k):
+                    assert _glue(p, q, dom, img) == glue_oracle(p, q, dom, img)
+                    gluings += 1
+    assert gluings >= 1500
 
 
 def test_lift_matches_the_full_conjugation_oracle():

@@ -12,8 +12,11 @@ from itertools import permutations
 import pytest
 
 from checkersurf.perm import Permutation, compose
+from checkersurf.cosets import DoubleCoset
 from checkersurf.surface import (
+    CheckerSurface,
     CompletelyLabeledSurface,
+    LabeledSurface,
     Triple,
     build_surface,
     canonical_form,
@@ -303,3 +306,19 @@ def test_describe_carries_analytics():
     assert info["chi"] == [2] and info["genus"] == [0]
     assert info["components"] == [[1, 2]]
     assert set(info["vertices"]) == {"blue", "red", "yellow"}
+
+
+def test_canonical_surfaces_are_immutable_with_fixed_reprs():
+    labeled = canonical_form(tr("(1 2 3)", "(1 2)"), 1, 0)
+    two_sided = canonical_form(tr("(1 2)", "(2 3)", "(1 3)"), 2, 1)
+    checker = checker_surface(tr("(1 2 3)", "(1 2)", n=4))
+    assert repr(labeled) == "LabeledSurface(alpha=1, beta=0, n=3, (), (1 2), (1 2 3))"
+    assert repr(two_sided) == "LabeledSurface(alpha=2, beta=1, n=3, (1 2), (2 3), (1 3))"
+    assert repr(checker) == "CheckerSurface(n=4, (3 4), (), (2 3))"
+    for obj, name in ((labeled, "alpha"), (labeled, "n"), (checker, "n"), (checker, "_b"),
+                      (DoubleCoset(labeled), "surface")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    arrays = (2, (1, 0), (0, 1), (0, 1))
+    assert LabeledSurface(0, 0, *arrays) != CheckerSurface(*arrays)
+    assert not LabeledSurface(0, 0, *arrays) == CheckerSurface(*arrays)
