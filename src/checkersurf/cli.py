@@ -6,6 +6,10 @@ census, and a seeded random generator. Exit codes: 0 success, 2 bad input
 or usage, 3 budget exceeded, 4 internal failure (a cross-check that
 disagreed or any other unexpected error). Every run is deterministic given
 its flags and seed.
+
+Each call builds the parser of the invoked subcommand alone, from the
+SUBCOMMANDS table; the full parser is built only for help and for errors
+whose usage line lists every subcommand. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -189,29 +193,40 @@ def _element_rows(element) -> list:
     return rows
 
 
+def _emit_surface(surface, args, tsv_tail, **json_extra) -> None:
+    """Print a LabeledSurface in args.format: the DOT of its dessin, its
+    describe() JSON with json_extra added, or TSV rows of its degree,
+    labels and cycle strings followed by the rows tsv_tail(info) makes of
+    that JSON."""
+    if args.format == "dot":
+        _emit(to_dessin(surface.triple).to_dot() + "\n", args)
+        return
+    info = surface.describe()
+    if args.format == "tsv":
+        t = surface.triple
+        rows = [
+            ("degree", surface.n),
+            ("alpha", surface.alpha),
+            ("beta", surface.beta),
+            ("blue", t.blue.cycle_string()),
+            ("red", t.red.cycle_string()),
+            ("yellow", t.yellow.cycle_string()),
+        ]
+        _emit(_tsv_text(rows + tsv_tail(info)), args)
+    else:
+        info.update(json_extra)
+        _emit(_json_text(info), args)
+
+
 def cmd_canon(args) -> None:
     t = _load_triple(args.input)
     _require_labels(args.input, t, alpha=args.alpha, beta=args.beta)
     form = canonical_form(t, args.alpha, args.beta)
-    if args.format == "dot":
-        _emit(to_dessin(form.triple).to_dot() + "\n", args)
-        return
-    info = form.describe()
-    if args.format == "tsv":
-        rows = [
-            ("degree", form.n),
-            ("alpha", form.alpha),
-            ("beta", form.beta),
-            ("blue", form.triple.blue.cycle_string()),
-            ("red", form.triple.red.cycle_string()),
-            ("yellow", form.triple.yellow.cycle_string()),
-            ("components", len(info["components"])),
-            ("chi", " ".join(str(c) for c in info["chi"])),
-            ("genus", " ".join(str(g) for g in info["genus"])),
-        ]
-        _emit(_tsv_text(rows), args)
-    else:
-        _emit(_json_text(info), args)
+    _emit_surface(form, args, lambda info: [
+        ("components", len(info["components"])),
+        ("chi", " ".join(str(c) for c in info["chi"])),
+        ("genus", " ".join(str(g) for g in info["genus"])),
+    ])
 
 
 def cmd_product(args) -> None:
@@ -227,24 +242,8 @@ def cmd_product(args) -> None:
             "shift-stabilized product disagrees with geometric concatenation"
         )
     _note(args, "both product paths agree")
-    if args.format == "dot":
-        _emit(to_dessin(algebraic.surface.triple).to_dot() + "\n", args)
-        return
-    info = algebraic.surface.describe()
-    info["paths_agree"] = True
-    if args.format == "tsv":
-        rows = [
-            ("degree", algebraic.degree),
-            ("alpha", algebraic.alpha),
-            ("beta", algebraic.beta),
-            ("blue", algebraic.surface.triple.blue.cycle_string()),
-            ("red", algebraic.surface.triple.red.cycle_string()),
-            ("yellow", algebraic.surface.triple.yellow.cycle_string()),
-            ("paths_agree", "true"),
-        ]
-        _emit(_tsv_text(rows), args)
-    else:
-        _emit(_json_text(info), args)
+    _emit_surface(algebraic.surface, args, lambda info: [("paths_agree", "true")],
+                  paths_agree=True)
 
 
 def cmd_concentrate(args) -> None:
@@ -463,53 +462,28 @@ def cmd_random(args) -> None:
         _emit(_json_text(t.to_json()), args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="checkersurf",
-        description="Calculus of checker triangulated surfaces.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "tsv", "dot"),
-        default=None,
-        help="output format; each subcommand prints some of these and refuses "
-        "the rest (default json; dot for dessin)",
-    )
-    common.add_argument("--quiet", action="store_true", help="suppress status notes")
-    common.add_argument("--output", help="write the result to this file atomically")
+def _canon_arguments(p) -> None:
+    p.add_argument("input", help="triple JSON file")
+    p.add_argument("--alpha", type=int, default=0, help="black labels")
+    p.add_argument("--beta", type=int, default=0, help="white labels")
+    p.set_defaults(func=cmd_canon, formats=("json", "tsv", "dot"))
 
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_canon = sub.add_parser(
-        "canon", parents=[common], help="canonical form of a labeled surface"
-    )
-    p_canon.add_argument("input", help="triple JSON file")
-    p_canon.add_argument("--alpha", type=int, default=0, help="black labels")
-    p_canon.add_argument("--beta", type=int, default=0, help="white labels")
-    p_canon.set_defaults(func=cmd_canon, formats=("json", "tsv", "dot"))
+def _product_arguments(p) -> None:
+    p.add_argument("left", help="triple JSON of the left factor")
+    p.add_argument("right", help="triple JSON of the right factor")
+    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--beta", type=int, required=True)
+    p.add_argument("--gamma", type=int, required=True)
+    p.set_defaults(func=cmd_product, formats=("json", "tsv", "dot"))
 
-    p_prod = sub.add_parser(
-        "product",
-        parents=[common],
-        aliases=["coset-product"],
-        help="coset product via both code paths",
-    )
-    p_prod.add_argument("left", help="triple JSON of the left factor")
-    p_prod.add_argument("right", help="triple JSON of the right factor")
-    p_prod.add_argument("--alpha", type=int, required=True)
-    p_prod.add_argument("--beta", type=int, required=True)
-    p_prod.add_argument("--gamma", type=int, required=True)
-    p_prod.set_defaults(func=cmd_product, formats=("json", "tsv", "dot"))
 
-    p_conc = sub.add_parser(
-        "concentrate", parents=[common], help="concentration series and decompositions"
-    )
-    p_conc.add_argument("left", help="coset JSON (triple plus alpha, beta)")
-    p_conc.add_argument("right", help="coset JSON (triple plus alpha, beta)")
-    p_conc.add_argument("--n-from", type=int, default=4, dest="n_from")
-    p_conc.add_argument("--n-to", type=int, default=9, dest="n_to")
-    p_conc.add_argument(
+def _concentrate_arguments(p) -> None:
+    p.add_argument("left", help="coset JSON (triple plus alpha, beta)")
+    p.add_argument("right", help="coset JSON (triple plus alpha, beta)")
+    p.add_argument("--n-from", type=int, default=4, dest="n_from")
+    p.add_argument("--n-to", type=int, default=9, dest="n_to")
+    p.add_argument(
         "--max-terms",
         type=int,
         default=DEFAULT_MAX_TERMS,
@@ -517,35 +491,32 @@ def build_parser() -> argparse.ArgumentParser:
         "up to --n-to; separately, the largest degree an input may ask for "
         "(default %d)" % DEFAULT_MAX_TERMS,
     )
-    p_conc.set_defaults(func=cmd_concentrate, formats=("json", "tsv"))
+    p.set_defaults(func=cmd_concentrate, formats=("json", "tsv"))
 
-    p_sph = sub.add_parser(
-        "spherical", parents=[common], help="spherical value by both paths"
-    )
-    p_sph.add_argument("surface", help="triple JSON file")
-    p_sph.add_argument("xi", help="unit tensor JSON file")
-    p_sph.add_argument(
+
+def _spherical_arguments(p) -> None:
+    p.add_argument("surface", help="triple JSON file")
+    p.add_argument("xi", help="unit tensor JSON file")
+    p.add_argument(
         "--max-assignments",
         type=int,
         default=DEFAULT_MAX_ASSIGNMENTS,
         help="largest permitted number of multiply-adds of the planned "
         "contraction; also caps the input's degree (default %d)" % DEFAULT_MAX_ASSIGNMENTS,
     )
-    p_sph.set_defaults(func=cmd_spherical, formats=("json", "tsv"))
+    p.set_defaults(func=cmd_spherical, formats=("json", "tsv"))
 
-    p_ikp = sub.add_parser(
-        "ik-product", parents=[common], help="gluing product in the surface algebra"
-    )
-    p_ikp.add_argument("left", help="triple JSON file")
-    p_ikp.add_argument("right", help="triple JSON file")
-    p_ikp.set_defaults(func=cmd_ik_product, formats=("json", "tsv"))
 
-    p_ikj = sub.add_parser(
-        "ik-project", parents=[common], help="projection to a pair group algebra"
-    )
-    p_ikj.add_argument("input", help="element JSON file")
-    p_ikj.add_argument("--n", type=int, required=True, help="target degree")
-    p_ikj.add_argument(
+def _ik_product_arguments(p) -> None:
+    p.add_argument("left", help="triple JSON file")
+    p.add_argument("right", help="triple JSON file")
+    p.set_defaults(func=cmd_ik_product, formats=("json", "tsv"))
+
+
+def _ik_project_arguments(p) -> None:
+    p.add_argument("input", help="element JSON file")
+    p.add_argument("--n", type=int, required=True, help="target degree")
+    p.add_argument(
         "--max-terms",
         type=int,
         default=DEFAULT_MAX_TERMS,
@@ -554,50 +525,93 @@ def build_parser() -> argparse.ArgumentParser:
         "points that its lift enumerates); separately, the largest degree an "
         "input surface may ask for (default %d)" % DEFAULT_MAX_TERMS,
     )
-    p_ikj.set_defaults(func=cmd_ik_project, formats=("json", "tsv"))
+    p.set_defaults(func=cmd_ik_project, formats=("json", "tsv"))
 
-    p_poi = sub.add_parser(
-        "poisson", parents=[common], help="Poisson bracket of two surfaces"
-    )
-    p_poi.add_argument("left", help="triple JSON file")
-    p_poi.add_argument("right", help="triple JSON file")
-    p_poi.set_defaults(func=cmd_poisson, formats=("json", "tsv"))
 
-    p_des = sub.add_parser(
-        "dessin", parents=[common], help="bipartite graph of the blue edges"
-    )
-    p_des.add_argument("input", help="triple JSON file")
-    p_des.set_defaults(func=cmd_dessin, formats=("dot", "json"))
+def _poisson_arguments(p) -> None:
+    p.add_argument("left", help="triple JSON file")
+    p.add_argument("right", help="triple JSON file")
+    p.set_defaults(func=cmd_poisson, formats=("json", "tsv"))
 
-    p_cen = sub.add_parser(
-        "census", parents=[common], help="pair classes by degree with statistics"
-    )
-    p_cen.add_argument("--n", type=int, required=True, help="largest degree")
-    p_cen.add_argument(
+
+def _dessin_arguments(p) -> None:
+    p.add_argument("input", help="triple JSON file")
+    p.set_defaults(func=cmd_dessin, formats=("dot", "json"))
+
+
+def _census_arguments(p) -> None:
+    p.add_argument("--n", type=int, required=True, help="largest degree")
+    p.add_argument(
         "--max-terms",
         type=int,
         default=DEFAULT_MAX_TERMS,
         help="largest permitted enumeration (default %d)" % DEFAULT_MAX_TERMS,
     )
-    p_cen.set_defaults(func=cmd_census, formats=("json", "tsv"))
+    p.set_defaults(func=cmd_census, formats=("json", "tsv"))
 
-    p_rnd = sub.add_parser(
-        "random", parents=[common], help="seeded uniform random triple"
+
+def _random_arguments(p) -> None:
+    p.add_argument("--n", type=int, required=True, help="degree")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.set_defaults(func=cmd_random, formats=("json", "tsv"))
+
+
+# name, aliases, help line, and the function that adds the subcommand's
+# own arguments; formats lists what the subcommand prints, its default first
+SUBCOMMANDS = (
+    ("canon", (), "canonical form of a labeled surface", _canon_arguments),
+    ("product", ("coset-product",), "coset product via both code paths", _product_arguments),
+    ("concentrate", (), "concentration series and decompositions", _concentrate_arguments),
+    ("spherical", (), "spherical value by both paths", _spherical_arguments),
+    ("ik-product", (), "gluing product in the surface algebra", _ik_product_arguments),
+    ("ik-project", (), "projection to a pair group algebra", _ik_project_arguments),
+    ("poisson", (), "Poisson bracket of two surfaces", _poisson_arguments),
+    ("dessin", (), "bipartite graph of the blue edges", _dessin_arguments),
+    ("census", (), "pair classes by degree with statistics", _census_arguments),
+    ("random", (), "seeded uniform random triple", _random_arguments),
+)
+_BY_NAME = {name: entry for entry in SUBCOMMANDS for name in (entry[0],) + entry[1]}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand's parser, or with only
+    the one that command names (a name or an alias)."""
+    parser = argparse.ArgumentParser(
+        prog="checkersurf",
+        description="Calculus of checker triangulated surfaces.",
     )
-    p_rnd.add_argument("--n", type=int, required=True, help="degree")
-    p_rnd.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p_rnd.set_defaults(func=cmd_random, formats=("json", "tsv"))
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, aliases, help_line, add_arguments in (
+        SUBCOMMANDS if command is None else (_BY_NAME[command],)
+    ):
+        p = sub.add_parser(name, aliases=aliases, help=help_line)
+        p.add_argument(
+            "--format",
+            choices=("json", "tsv", "dot"),
+            default=None,
+            help="output format; each subcommand prints some of these and refuses "
+            "the rest (default json; dot for dessin)",
+        )
+        p.add_argument("--quiet", action="store_true", help="suppress status notes")
+        p.add_argument("--output", help="write the result to this file atomically")
+        add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # formats lists what the subcommand prints, its default first
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help, an empty argv and an unknown command need every subcommand
+    command = argv[0] if argv and argv[0] in _BY_NAME else None
+    args, extras = build_parser(command).parse_known_args(argv)
+    # errors from the top-level parser print its usage, which lists every
+    # subcommand: report them through the full parser
+    if extras:
+        build_parser().parse_args(argv)  # exits on the unrecognized arguments
     args.format = args.format or args.formats[0]
     if args.format not in args.formats:
-        parser.error("%s prints only --format %s" % (args.command, " or ".join(args.formats)))
+        build_parser().error(
+            "%s prints only --format %s" % (args.command, " or ".join(args.formats))
+        )
     try:
         args.func(args)
     except SchemaError as exc:

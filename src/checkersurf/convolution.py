@@ -216,17 +216,20 @@ def convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElem
         return [_pad(arr[:n], n) for arr in (t._b, t._r, t._y)]
 
     right = [(arrays(z), gz) for z, gz in g._coeffs.items()]
-    out: Dict[Triple, Fraction] = {}
+    # keyed by the three product arrays, all of length n, which are equal
+    # exactly when their triples are; each Triple is built once at the end
+    out: Dict[tuple, Fraction] = {}
     for y, fy in f._coeffs.items():
         ys = arrays(y)
         for zs, gz in right:
-            x = Triple._from_zero_based(n, *[[a[v] for v in b] for a, b in zip(ys, zs)])
+            x = tuple([tuple([a[v] for v in b]) for a, b in zip(ys, zs)])
             val = out.get(x, 0) + fy * gz
             if val:
                 out[x] = val
             else:
                 out.pop(x, None)
-    return GroupAlgebraElement._from_clean(out, n)
+    coeffs = {Triple._from_zero_based(n, *x): val for x, val in out.items()}
+    return GroupAlgebraElement._from_clean(coeffs, n)
 
 
 class CosetAlgebraElement(SparseCombination):

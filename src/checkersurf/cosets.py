@@ -61,7 +61,7 @@ def theta(j: int, beta: int) -> Permutation:
     """
     if j < 1 or beta < 0:
         raise ValueError("need j >= 1 and beta >= 0, got j=%r beta=%r" % (j, beta))
-    return Permutation(tuple(x + 1 for x in _theta_images(j, beta)))
+    return Permutation(tuple([x + 1 for x in _theta_images(j, beta)]))
 
 
 class DoubleCoset:
@@ -139,7 +139,7 @@ def _shift_product(tp: Triple, tq: Triple, alpha: int, beta: int, gamma: int, j:
     for pa, qa in ((tp._b, tq._b), (tp._r, tq._r), (tp._y, tq._y)):
         pa = _pad(pa, n)
         qa = _pad(qa, n)
-        out.append(tuple(pa[th[qa[x]]] for x in range(n)))
+        out.append(tuple([pa[th[qa[x]]] for x in range(n)]))
     return canonical_form(Triple._from_zero_based(n, *out), alpha, gamma)
 
 

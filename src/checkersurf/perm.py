@@ -170,7 +170,7 @@ class Permutation:
                     raise ValueError("point %d appears in two cycles: %r" % (a, text))
                 mapping[a] = b
         n = max(mapping) if mapping else 0
-        return cls(tuple(mapping.get(x, x) for x in range(1, n + 1)))
+        return cls(tuple([mapping.get(x, x) for x in range(1, n + 1)]))
 
     def to_json(self) -> dict:
         return {"deg": self.deg, "images": list(self._images)}
@@ -195,7 +195,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     (3, 2, 1)
     """
     n = max(p.deg, q.deg)
-    return Permutation(tuple(p(q(x)) for x in range(1, n + 1)))
+    return Permutation(tuple([p(q(x)) for x in range(1, n + 1)]))
 
 
 def inverse(p: Permutation) -> Permutation:

@@ -79,9 +79,12 @@ class Triple:
         if n < deg:
             raise ValueError("ambient degree %d below support degree %d" % (n, deg))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_b", tuple(x - 1 for x in ib) + tuple(range(len(ib), n)))
-        object.__setattr__(self, "_r", tuple(x - 1 for x in ir) + tuple(range(len(ir), n)))
-        object.__setattr__(self, "_y", tuple(x - 1 for x in iy) + tuple(range(len(iy), n)))
+        # hot paths build tuples from lists: tuple(generator) shrinks a
+        # larger tuple to size, and the freed tuple refills CPython's
+        # small-tuple free lists, which grow the heap between collections
+        object.__setattr__(self, "_b", tuple([x - 1 for x in ib]) + tuple(range(len(ib), n)))
+        object.__setattr__(self, "_r", tuple([x - 1 for x in ir]) + tuple(range(len(ir), n)))
+        object.__setattr__(self, "_y", tuple([x - 1 for x in iy]) + tuple(range(len(iy), n)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Triple is immutable")
@@ -97,15 +100,15 @@ class Triple:
 
     @property
     def blue(self) -> Permutation:
-        return Permutation(tuple(x + 1 for x in self._b))
+        return Permutation(tuple([x + 1 for x in self._b]))
 
     @property
     def red(self) -> Permutation:
-        return Permutation(tuple(x + 1 for x in self._r))
+        return Permutation(tuple([x + 1 for x in self._r]))
 
     @property
     def yellow(self) -> Permutation:
-        return Permutation(tuple(x + 1 for x in self._y))
+        return Permutation(tuple([x + 1 for x in self._y]))
 
     @property
     def deg(self) -> int:
@@ -273,7 +276,7 @@ def components(t: Triple) -> List[Tuple[int, ...]]:
                     seen[nxt] = True
                     stack.append(nxt)
         orbit.sort()
-        out.append(tuple(x + 1 for x in orbit))
+        out.append(tuple([x + 1 for x in orbit]))
     out.sort()
     return out
 
@@ -363,7 +366,7 @@ def vertex_census(t: Triple) -> VertexCensus:
     """
     a, bgen, c = _comp_perms(t)
     carrier = range(1, t.n + 1)
-    to_perm = lambda arr: Permutation(tuple(x + 1 for x in arr))
+    to_perm = lambda arr: Permutation(tuple([x + 1 for x in arr]))
     return VertexCensus(
         blue=cycles(to_perm(bgen), carrier),
         red=cycles(to_perm(a), carrier),
@@ -656,9 +659,9 @@ def to_dessin(t: Triple) -> Dessin:
 def disjoint_union(t1: Triple, t2: Triple) -> Triple:
     """Concatenate gluing data, shifting the second block of triangles."""
     n1 = t1.n
-    b = t1._b + tuple(x + n1 for x in t2._b)
-    r = t1._r + tuple(x + n1 for x in t2._r)
-    y = t1._y + tuple(x + n1 for x in t2._y)
+    b = t1._b + tuple([x + n1 for x in t2._b])
+    r = t1._r + tuple([x + n1 for x in t2._r])
+    y = t1._y + tuple([x + n1 for x in t2._y])
     return Triple._from_zero_based(n1 + t2.n, b, r, y)
 
 
