@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Tuple
 from checkersurf import kernel
 from checkersurf.errors import SchemaError
 from checkersurf.cosets import DoubleCoset, _check_pair, circledast
-from checkersurf.perm import _pad
+from checkersurf.perm import _Immutable, _pad
 from checkersurf.surface import LabeledSurface, Triple
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-class SparseCombination:
+class SparseCombination(_Immutable):
     """Immutable sparse exact-rational combination of basis keys.
 
     A subclass names its fixed parameters in _params and a term's key
@@ -89,9 +89,6 @@ class SparseCombination:
 
     def _param_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._params)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def coefficient(self, key) -> Fraction:
         return self._coeffs.get(key, Fraction(0))

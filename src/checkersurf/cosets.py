@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from checkersurf.errors import InvariantError, SchemaError
-from checkersurf.perm import Permutation, _pad
+from checkersurf.perm import Permutation, _Immutable, _pad
 from checkersurf.surface import LabeledSurface, Triple, _glued, canonical_form, reverse
 
 __all__ = [
@@ -64,7 +64,7 @@ def theta(j: int, beta: int) -> Permutation:
     return Permutation(tuple([x + 1 for x in _theta_images(j, beta)]))
 
 
-class DoubleCoset:
+class DoubleCoset(_Immutable):
     """A morphism of the coset category: beta white labels in, alpha black
     labels out, canonical labeled surface as the representative."""
 
@@ -72,9 +72,6 @@ class DoubleCoset:
 
     def __init__(self, surface: LabeledSurface):
         object.__setattr__(self, "surface", surface)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoubleCoset is immutable")
 
     @classmethod
     def from_triple(cls, t: Triple, alpha: int, beta: int) -> "DoubleCoset":
@@ -191,9 +188,3 @@ def concat_geometric(P: LabeledSurface, Q: LabeledSurface) -> LabeledSurface:
 def star(p: DoubleCoset) -> DoubleCoset:
     """The involution: componentwise inverse, labels swap sides."""
     return DoubleCoset.from_triple(reverse(p.surface.triple), p.beta, p.alpha)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -51,7 +51,43 @@ def _invert(arr: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-class Permutation:
+def _cycles(arr: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Cycles of a 0-based image array as 1-based tuples, in the order of
+    cycles(): each starts at its least point, ordered by those points.
+
+    >>> _cycles((1, 0, 2))
+    [(1, 2), (3,)]
+    """
+    seen = [False] * len(arr)
+    out = []
+    for start in range(len(arr)):
+        if seen[start]:
+            continue
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x + 1)
+            x = arr[x]
+        out.append(tuple(cyc))
+    return out
+
+
+class _Immutable:
+    """Base of the value classes: attributes are set once in construction,
+    through object.__setattr__, and can be neither reassigned nor deleted.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class Permutation(_Immutable):
     """A finitely supported bijection of {1, 2, 3, ...}.
 
     ``images`` is one-line notation: ``images[i-1]`` is the image of ``i``.
@@ -73,7 +109,7 @@ class Permutation:
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("not a bijection of {1..%d}: %r" % (len(images), images))
-        self._images = _trim(images)
+        object.__setattr__(self, "_images", _trim(images))
 
     @property
     def images(self) -> Tuple[int, ...]:
@@ -248,9 +284,3 @@ def random_permutation(rng: random.Random, n: int) -> Permutation:
     images = list(range(1, n + 1))
     rng.shuffle(images)
     return Permutation(tuple(images))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -34,7 +34,7 @@ from math import prod
 from typing import List, Sequence, Tuple
 
 from checkersurf.errors import BudgetError, SchemaError
-from checkersurf.perm import _invert
+from checkersurf.perm import _Immutable, _invert
 from checkersurf.surface import components
 
 __all__ = [
@@ -50,7 +50,7 @@ DEFAULT_MAX_ASSIGNMENTS = 10**8
 DEFAULT_MAX_ORACLE_ENTRIES = 2**22
 
 
-class Tensor3:
+class Tensor3(_Immutable):
     """A complex tensor with one axis per edge color."""
 
     __slots__ = ("dims", "entries")
@@ -70,9 +70,6 @@ class Tensor3:
             raise SchemaError("tensor axes must be positive, got shape %r" % (arr.shape,))
         object.__setattr__(self, "dims", tuple(int(d) for d in arr.shape))
         object.__setattr__(self, "entries", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor3 is immutable")
 
     @property
     def norm(self) -> float:

@@ -7,6 +7,10 @@ holds the dictionary in both directions, the component / vertex / Euler
 analytics, the two canonical-form types on one base, the cut and reglue
 that both gluing products use, and the dessin export.
 
+The analytics take one pass: the vertices are the cycles of the three
+gluing words, and each component's chi is its vertex count minus its size,
+every vertex charged to the component of its first point.
+
 >>> t = Triple("(1 2)", "()", "()")
 >>> [len(c) for c in components(t)]
 [2]
@@ -21,7 +25,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from checkersurf import kernel
 from checkersurf.errors import SchemaError
-from checkersurf.perm import Permutation, _invert, cycles, inverse
+from checkersurf.perm import Permutation, _cycles, _Immutable, _invert
 
 __all__ = [
     "Triple",
@@ -58,7 +62,7 @@ def _as_images(p: PermLike) -> Tuple[int, ...]:
     return Permutation(tuple(p)).images
 
 
-class Triple:
+class Triple(_Immutable):
     """An element of S_n x S_n x S_n, the (blue, red, yellow) gluing data.
 
     Stored at a fixed ambient degree n; equality ignores trailing points
@@ -85,9 +89,6 @@ class Triple:
         object.__setattr__(self, "_b", tuple([x - 1 for x in ib]) + tuple(range(len(ib), n)))
         object.__setattr__(self, "_r", tuple([x - 1 for x in ir]) + tuple(range(len(ir), n)))
         object.__setattr__(self, "_y", tuple([x - 1 for x in iy]) + tuple(range(len(iy), n)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Triple is immutable")
 
     @classmethod
     def _from_zero_based(cls, n: int, b: Sequence[int], r: Sequence[int], y: Sequence[int]) -> "Triple":
@@ -123,6 +124,8 @@ class Triple:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triple):
             return NotImplemented
+        if self.n == other.n:
+            return self._b == other._b and self._r == other._r and self._y == other._y
         return self._key() == other._key()
 
     def __hash__(self) -> int:
@@ -160,7 +163,7 @@ class Triple:
         return cls(*colors, n=n)
 
 
-class CompletelyLabeledSurface:
+class CompletelyLabeledSurface(_Immutable):
     """Explicit cell structure: 2n labeled triangles and 3n colored edges.
 
     Edges are (color, white_label, black_label) with 1-based labels, listed
@@ -172,9 +175,6 @@ class CompletelyLabeledSurface:
     def __init__(self, n: int, edges: Iterable[Tuple[str, int, int]]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(edges))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompletelyLabeledSurface is immutable")
 
     @property
     def triangles(self) -> Tuple[Tuple[str, int], ...]:
@@ -281,21 +281,6 @@ def components(t: Triple) -> List[Tuple[int, ...]]:
     return out
 
 
-def _count_cycles_on(arr: Sequence[int], pts: Iterable[int]) -> int:
-    pts = set(pts)
-    seen = set()
-    count = 0
-    for start in pts:
-        if start in seen:
-            continue
-        count += 1
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = arr[x]
-    return count
-
-
 def euler_characteristic(t: Triple, comp: Iterable[int]) -> int:
     """chi of one component: -|comp| plus the three gluing-word cycle counts.
 
@@ -303,14 +288,13 @@ def euler_characteristic(t: Triple, comp: Iterable[int]) -> int:
     0
     """
     comp = tuple(sorted(comp))
-    if comp not in components(t):
+    comps = components(t)
+    if comp not in comps:
         raise ValueError("%r is not a component of %r" % (comp, t))
-    pts = [x - 1 for x in comp]
-    a, bgen, c = _comp_perms(t)
-    return -len(pts) + _count_cycles_on(a, pts) + _count_cycles_on(bgen, pts) + _count_cycles_on(c, pts)
+    return _chis(t, comps, vertex_census(t))[comps.index(comp)]
 
 
-class VertexCensus:
+class VertexCensus(_Immutable):
     """Vertices of the glued surface, one cycle per vertex, per color.
 
     Colors follow the gluing words: blue vertices are cycles of y^-1 r,
@@ -325,9 +309,6 @@ class VertexCensus:
         object.__setattr__(self, "blue", tuple(blue))
         object.__setattr__(self, "red", tuple(red))
         object.__setattr__(self, "yellow", tuple(yellow))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexCensus is immutable")
 
     def orders(self, color: str) -> Tuple[int, ...]:
         return tuple(2 * len(cyc) for cyc in getattr(self, color))
@@ -365,13 +346,21 @@ def vertex_census(t: Triple) -> VertexCensus:
     4
     """
     a, bgen, c = _comp_perms(t)
-    carrier = range(1, t.n + 1)
-    to_perm = lambda arr: Permutation(tuple([x + 1 for x in arr]))
-    return VertexCensus(
-        blue=cycles(to_perm(bgen), carrier),
-        red=cycles(to_perm(a), carrier),
-        yellow=cycles(to_perm(c), carrier),
-    )
+    return VertexCensus(blue=_cycles(bgen), red=_cycles(a), yellow=_cycles(c))
+
+
+def _chis(t: Triple, comps: Sequence[Tuple[int, ...]], census: VertexCensus) -> List[int]:
+    """chi of each of t's components, in order: the vertices charged to
+    the component of their first point, minus the component's size."""
+    comp_of = [0] * t.n
+    for i, comp in enumerate(comps):
+        for x in comp:
+            comp_of[x - 1] = i
+    chis = [-len(comp) for comp in comps]
+    for color in COLORS:
+        for cyc in getattr(census, color):
+            chis[comp_of[cyc[0] - 1]] += 1
+    return chis
 
 
 def genus(chi: int) -> int:
@@ -395,7 +384,7 @@ def reverse(t: Triple) -> Triple:
     return Triple._from_zero_based(t.n, _invert(t._b), _invert(t._r), _invert(t._y))
 
 
-class _CanonicalSurface:
+class _CanonicalSurface(_Immutable):
     """Storage, order and export shared by the canonical surface types.
 
     A subclass names its leading integer parameters in _params; the
@@ -417,9 +406,6 @@ class _CanonicalSurface:
         values = (*args[:-3], *map(tuple, args[-3:]))
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @property
     def triple(self) -> Triple:
@@ -454,8 +440,8 @@ class _CanonicalSurface:
         """Triple JSON plus components, chi, genus, and the vertex census."""
         t = self.triple
         comps = components(t)
-        chis = [euler_characteristic(t, comp) for comp in comps]
         census = vertex_census(t)
+        chis = _chis(t, comps, census)
         data = self.to_json()
         data["components"] = [list(c) for c in comps]
         data["chi"] = chis
@@ -515,7 +501,7 @@ class CheckerSurface(_CanonicalSurface):
     @property
     def chi_by_component(self) -> List[int]:
         t = self.canonical_triple
-        return [euler_characteristic(t, comp) for comp in self.component_partition]
+        return _chis(t, components(t), vertex_census(t))
 
     @property
     def genus_by_component(self) -> List[int]:
@@ -554,7 +540,7 @@ def checker_surface(t: Triple) -> CheckerSurface:
     return CheckerSurface(n2, b, r, y)
 
 
-class Dessin:
+class Dessin(_Immutable):
     """Bipartite ribbon graph: red and yellow vertices, one blue edge per
     point; rotations are the cycle orders. Faces are the blue vertices.
     """
@@ -567,39 +553,6 @@ class Dessin:
         object.__setattr__(self, "yellow_vertices", tuple(yellow_vertices))
         object.__setattr__(self, "faces", tuple(faces))
         object.__setattr__(self, "edges", tuple(edges))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dessin is immutable")
-
-    def chi_by_component(self) -> Dict[Tuple[int, ...], int]:
-        """V - E + F per connected component, keyed by sorted point sets."""
-        parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for cyc in self.red_vertices + self.yellow_vertices:
-            for a, b in zip(cyc, cyc[1:]):
-                union(a, b)
-        groups: Dict[int, List[int]] = {}
-        for x in range(1, self.n + 1):
-            groups.setdefault(find(x), []).append(x)
-        out = {}
-        for pts in groups.values():
-            pts_set = set(pts)
-            v = sum(1 for cyc in self.red_vertices if set(cyc) <= pts_set)
-            v += sum(1 for cyc in self.yellow_vertices if set(cyc) <= pts_set)
-            f = sum(1 for cyc in self.faces if set(cyc) <= pts_set)
-            out[tuple(sorted(pts))] = v - len(pts) + f
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -699,9 +652,3 @@ def random_triple(rng, n: int) -> Triple:
         rng.shuffle(images)
         arrs.append(tuple(images))
     return Triple._from_zero_based(n, *arrs)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -13,6 +13,7 @@ from checkersurf.surface import (
     CheckerSurface,
     LabeledSurface,
     Triple,
+    build_surface,
     canonical_form,
     components,
 )
@@ -192,3 +193,63 @@ def glue_oracle(p, q, dom, img) -> CheckerSurface:
         cols.append(col)
     n2, b2, r2, y2 = kernel.canonical_code(size, cols[0], cols[1], cols[2], 0, 0, False)
     return CheckerSurface(n2, b2, r2, y2)
+
+
+class _DSU:
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+_PAIR_INDEX = {
+    frozenset(("blue", "red")): 0,
+    frozenset(("blue", "yellow")): 1,
+    frozenset(("red", "yellow")): 2,
+}
+_OTHERS = {
+    "blue": ("red", "yellow"),
+    "red": ("blue", "yellow"),
+    "yellow": ("blue", "red"),
+}
+
+
+def euler_by_cells_oracle(t) -> dict:
+    """chi per component from the explicit cell complex alone.
+
+    Vertices are classes of triangle corners under the edge gluings: the
+    color-c edge of white w and of black b share both endpoints, and an
+    endpoint is named by the unordered pair of edge colors meeting there.
+    Returns a dict mapping each sorted white-label tuple to V - E + F.
+    """
+    s = build_surface(t)
+    n = t.n
+    corners = _DSU(6 * n)  # 3 corners per triangle, whites then blacks
+    tris = _DSU(2 * n)
+    for color, w, b in s.edges:
+        for other in _OTHERS[color]:
+            pi = _PAIR_INDEX[frozenset((color, other))]
+            corners.union((w - 1) * 3 + pi, (n + b - 1) * 3 + pi)
+        tris.union(w - 1, n + b - 1)
+    whites_of = {}
+    for w in range(n):
+        whites_of.setdefault(tris.find(w), []).append(w + 1)
+    verts_of = {}
+    for idx in range(6 * n):
+        root = tris.find(idx // 3)
+        verts_of.setdefault(root, set()).add(corners.find(idx))
+    out = {}
+    for root, whites in whites_of.items():
+        w = len(whites)
+        v = len(verts_of[root])
+        out[tuple(sorted(whites))] = v - 3 * w + 2 * w
+    return out

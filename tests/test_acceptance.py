@@ -15,6 +15,8 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
+from oracles import euler_by_cells_oracle
+
 from checkersurf.convolution import coset_decomposition, convolve
 from checkersurf.cosets import DoubleCoset, circledast, concat_geometric, star
 from checkersurf.ik import IKElement, ik_product, lift, poisson_bracket, project
@@ -68,68 +70,8 @@ def test_criterion_1_triple_surface_bijection():
 # ---------------------------------------------------------------- criterion 2
 
 
-class _DSU:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-_PAIR_INDEX = {
-    frozenset(("blue", "red")): 0,
-    frozenset(("blue", "yellow")): 1,
-    frozenset(("red", "yellow")): 2,
-}
-_OTHERS = {
-    "blue": ("red", "yellow"),
-    "red": ("blue", "yellow"),
-    "yellow": ("blue", "red"),
-}
-
-
-def _euler_by_cells(t):
-    """chi per component from the explicit cell complex alone.
-
-    Vertices are classes of triangle corners under the edge gluings: the
-    color-c edge of white w and of black b share both endpoints, and an
-    endpoint is named by the unordered pair of edge colors meeting there.
-    Returns a dict mapping each sorted white-label tuple to V - E + F.
-    """
-    s = build_surface(t)
-    n = t.n
-    corners = _DSU(6 * n)  # 3 corners per triangle, whites then blacks
-    tris = _DSU(2 * n)
-    for color, w, b in s.edges:
-        for other in _OTHERS[color]:
-            pi = _PAIR_INDEX[frozenset((color, other))]
-            corners.union((w - 1) * 3 + pi, (n + b - 1) * 3 + pi)
-        tris.union(w - 1, n + b - 1)
-    whites_of = {}
-    for w in range(n):
-        whites_of.setdefault(tris.find(w), []).append(w + 1)
-    verts_of = {}
-    for idx in range(6 * n):
-        root = tris.find(idx // 3)
-        verts_of.setdefault(root, set()).add(corners.find(idx))
-    out = {}
-    for root, whites in whites_of.items():
-        w = len(whites)
-        v = len(verts_of[root])
-        out[tuple(sorted(whites))] = v - 3 * w + 2 * w
-    return out
-
-
 def _check_euler(t):
-    by_cells = _euler_by_cells(t)
+    by_cells = euler_by_cells_oracle(t)
     comps = components(t)
     assert sorted(by_cells) == sorted(comps)
     for comp in comps:

@@ -1,8 +1,9 @@
 """Surface dictionary: gluing, analytics, canonical forms, dessins.
 
 chi values are cross-checked against V - E + F with V from the vertex
-census, E = 3k, F = 2k per component; that count is the independent oracle
-for the gluing-word formula.
+census, E = 3k, F = 2k per component, and against the explicit cell
+complex of oracles.euler_by_cells_oracle, which shares no code with the
+gluing-word formula.
 """
 
 import random
@@ -10,9 +11,14 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from oracles import euler_by_cells_oracle
 
 from checkersurf.perm import Permutation, compose
+from checkersurf import surface as surface_mod
+from checkersurf.convolution import CosetAlgebraElement, GroupAlgebraElement
 from checkersurf.cosets import DoubleCoset
+from checkersurf.ik import IKElement
+from checkersurf.spherical import Tensor3
 from checkersurf.surface import (
     CheckerSurface,
     CompletelyLabeledSurface,
@@ -260,14 +266,48 @@ def test_dessin_examples():
     assert len(d2.red_vertices[0]) == 2  # degree 2
 
 
-def test_dessin_chi_matches_formula():
-    rng = random.Random(37)
+def test_chi_matches_cell_complex_oracle():
+    # seed 37's sample, each triple alone and after the one before it, so
+    # that several components (double triangles among them) occur
+    rng, labels = random.Random(37), random.Random(38)
+    prev = tr("()", n=2)
     for _ in range(1000):
         t = random_triple(rng, rng.randint(1, 6))
-        d = to_dessin(t)
-        by_comp = d.chi_by_component()
-        for comp in components(t):
-            assert by_comp[comp] == euler_characteristic(t, comp)
+        for u in (t, disjoint_union(prev, t)):
+            by_cells = euler_by_cells_oracle(u)
+            for comp in components(u):
+                assert euler_characteristic(u, comp) == by_cells[comp]
+            checker = checker_surface(u)
+            labeled = canonical_form(u, labels.randint(0, u.n), labels.randint(0, u.n))
+            for surface in (labeled, checker):
+                by_cells = euler_by_cells_oracle(surface.triple)
+                info = surface.describe()
+                assert info["chi"] == [by_cells[tuple(c)] for c in info["components"]]
+                assert info["genus"] == [genus(chi) for chi in info["chi"]]
+            chis = [by_cells[comp] for comp in checker.component_partition]
+            assert checker.chi_by_component == chis
+            assert checker.genus_by_component == [genus(chi) for chi in chis]
+        prev = t
+
+
+def test_chi_of_many_components_takes_one_components_pass(monkeypatch):
+    calls = []
+    real = surface_mod.components
+
+    def counting(t):
+        calls.append(t.n)
+        return real(t)
+
+    monkeypatch.setattr(surface_mod, "components", counting)
+    n = 4000  # 2,000 two-point components: blue swaps 2k and 2k+1
+    blue = tuple([x ^ 1 for x in range(n)])
+    ident = tuple(range(n))
+    surface = CheckerSurface(n, blue, ident, ident)
+    info = surface.describe()
+    assert len(calls) == 1 and info["chi"] == [2] * 2000
+    calls.clear()
+    assert surface.chi_by_component == [2] * 2000
+    assert len(calls) == 1
 
 
 def test_dessin_dot_output():
@@ -315,10 +355,20 @@ def test_canonical_surfaces_are_immutable_with_fixed_reprs():
     assert repr(labeled) == "LabeledSurface(alpha=1, beta=0, n=3, (), (1 2), (1 2 3))"
     assert repr(two_sided) == "LabeledSurface(alpha=2, beta=1, n=3, (1 2), (2 3), (1 3))"
     assert repr(checker) == "CheckerSurface(n=4, (3 4), (), (2 3))"
-    for obj, name in ((labeled, "alpha"), (labeled, "n"), (checker, "n"), (checker, "_b"),
-                      (DoubleCoset(labeled), "surface")):
-        with pytest.raises(AttributeError):
-            setattr(obj, name, 0)
+    t = tr("(1 2)")
+    values = (
+        (labeled, "alpha"), (labeled, "n"), (checker, "n"), (checker, "_b"),
+        (DoubleCoset(labeled), "surface"), (Permutation((2, 1)), "_images"), (t, "_b"),
+        (build_surface(t), "edges"), (vertex_census(t), "red"), (to_dessin(t), "faces"),
+        (GroupAlgebraElement(2, {t: 1}), "_coeffs"), (CosetAlgebraElement(0, 0, 0, {}), "alpha"),
+        (IKElement(), "_coeffs"), (Tensor3([[[1]]]), "entries"),
+    )
+    for obj, name in values:
+        before = getattr(obj, name)
+        for attempt in (lambda: setattr(obj, name, 0), lambda: delattr(obj, name)):
+            with pytest.raises(AttributeError, match="^%s is immutable$" % type(obj).__name__):
+                attempt()
+        assert getattr(obj, name) is before
     arrays = (2, (1, 0), (0, 1), (0, 1))
     assert LabeledSurface(0, 0, *arrays) != CheckerSurface(*arrays)
     assert not LabeledSurface(0, 0, *arrays) == CheckerSurface(*arrays)
