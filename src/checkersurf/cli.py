@@ -25,7 +25,7 @@ from itertools import permutations
 from json.encoder import encode_basestring_ascii
 from math import factorial, isfinite
 
-from checkersurf.convolution import coset_decomposition, matching_count
+from checkersurf.convolution import SparseCombination, coset_decomposition, matching_count
 from checkersurf.cosets import DoubleCoset, circledast, concat_geometric
 from checkersurf.errors import BudgetError, InvariantError, SchemaError
 from checkersurf.ik import IKElement, ik_product, poisson_bracket, project
@@ -41,6 +41,7 @@ from checkersurf.surface import (
     Triple,
     canonical_form,
     checker_surface,
+    genus,
     random_triple,
     to_dessin,
 )
@@ -115,12 +116,14 @@ def _require_nonnegative(n: int) -> None:
 def _json_text(payload) -> str:
     """The text of json.dumps(payload, indent=2, sort_keys=True) and a line
     break, byte for byte, written directly: the stdlib uses its C encoder
-    only without indent."""
-    return _json(payload, "\n") + "\n"
+    only without indent. A SparseCombination in payload is written as its
+    to_json() would be, but from its keys' arrays, with no dict per term."""
+    return _json(payload, "\n", {}) + "\n"
 
 
-def _json(value, newline: str) -> str:
-    # newline is a line break plus the indentation of value's own level
+def _json(value, newline: str, memo: dict) -> str:
+    # newline is a line break plus the indentation of value's own level;
+    # memo is _combination_json's, for this payload only
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -139,16 +142,81 @@ def _json(value, newline: str) -> str:
         if all(type(x) is int for x in value):
             items = map(int.__repr__, value)
         else:
-            items = [_json(x, inner) for x in value]
+            items = [_json(x, inner, memo) for x in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict and value and all(type(key) is str for key in value):
         items = [
-            encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
+            encode_basestring_ascii(key) + ": " + _json(value[key], inner, memo)
+            for key in sorted(value)
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, SparseCombination):
+        return _combination_json(value, newline, memo)
     # nan, infinities, empty containers, other key types: the encoder's
     # own line breaks need only this level's indentation added
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
+class _ArrayTexts(dict):
+    """The JSON text of 0-based arrays written 1-based at the level
+    newline, each made on its first lookup."""
+
+    def __init__(self, newline: str):
+        super().__init__()
+        self.newline = newline
+
+    def __missing__(self, arr):
+        if arr:
+            inner = self.newline + "  "
+            text = "[" + inner + ("," + inner).join([str(x + 1) for x in arr]) + self.newline + "]"
+        else:
+            text = "[]"
+        self[arr] = text
+        return text
+
+
+def _members(texts: dict, newline: str) -> str:
+    """A JSON object at the level newline from the texts of its members."""
+    inner = newline + "  "
+    items = [encode_basestring_ascii(key) + ": " + texts[key] for key in sorted(texts)]
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
+def _combination_json(element, newline: str, memo: dict) -> str:
+    """The text of element.to_json() at the level newline. Each term fills
+    one %-template with its _term_fields and its key's integers and
+    0-based arrays; a DoubleCoset key is written as its surface. memo maps
+    the level of a key's members to the text of each array written there."""
+    inner = newline + "  "
+    texts = {name: _json(getattr(element, name), inner, memo) for name in element._params}
+    items = element.items()
+    if not items:
+        texts["terms"] = "[]"
+        return _members(texts, newline)
+    term_nl = inner + "  "
+    field_nl = term_nl + "  "
+    key_nl = field_nl + "  "
+    arrays = memo.setdefault(key_nl, _ArrayTexts(key_nl))
+    coset = isinstance(items[0][0], DoubleCoset)
+    key_params = getattr(items[0][0].surface if coset else items[0][0], "_params", ())
+    key = {name: "%%(%s)d" % name for name in (*key_params, "n")}
+    key.update(blue="%(_b)s", red="%(_r)s", yellow="%(_y)s")
+    fields = {name: "%%(%s)s" % name for name, _ in element._term_fields}
+    fields[element._field] = _members(key, field_nl)
+    template = _members(fields, term_nl)
+    terms = []
+    for k, val in items:
+        s = k.surface if coset else k
+        values = {name: _json(make(val), field_nl, memo) for name, make in element._term_fields}
+        for name in key_params:
+            values[name] = getattr(s, name)
+        values["n"] = s.n
+        values["_b"] = arrays[s._b]
+        values["_r"] = arrays[s._r]
+        values["_y"] = arrays[s._y]
+        terms.append(template % values)
+    texts["terms"] = "[" + term_nl + ("," + term_nl).join(terms) + inner + "]"
+    return _members(texts, newline)
 
 
 def _tsv_text(rows) -> str:
@@ -271,7 +339,7 @@ def cmd_concentrate(args) -> None:
                 {"n": n, "sigma": str(sigma), "value": float(sigma)}
                 for n, sigma in zip(degrees, series)
             ],
-            "decompositions": [decomp.to_json() for decomp in decomps],
+            "decompositions": decomps,
         }
         _emit(_json_text(payload), args)
     else:
@@ -312,7 +380,7 @@ def _emit_element(element, args) -> None:
     if args.format == "tsv":
         _emit(_tsv_text(_element_rows(element)), args)
     else:
-        _emit(_json_text(element.to_json()), args)
+        _emit(_json_text(element), args)
 
 
 def cmd_ik_product(args) -> None:
@@ -417,8 +485,9 @@ def cmd_census(args) -> None:
             )
         breakdown = {}
         for code in seen:
-            s = CheckerSurface(*code)
-            key = (len(s.component_partition), sum(s.genus_by_component))
+            # one chi per component, from one components pass
+            chis = CheckerSurface(*code).chi_by_component
+            key = (len(chis), sum(map(genus, chis)))
             breakdown[key] = breakdown.get(key, 0) + 1
         report.append((d, len(seen), expected, breakdown))
         _note(args, "degree %d: %d classes, Burnside agrees" % (d, len(seen)))

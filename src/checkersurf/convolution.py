@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, perm
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from checkersurf import kernel
 from checkersurf.errors import SchemaError
@@ -62,6 +62,10 @@ class SparseCombination(_Immutable):
     __slots__ = ("_coeffs",)
     _params: Tuple[str, ...] = ()
     _field = ""
+    # a term's JSON beside its key: each field's name and the function
+    # that makes it from the coefficient; to_json and cli._json_text
+    # both read it
+    _term_fields: Tuple[Tuple[str, Callable], ...] = (("coeff", str),)
 
     def __init__(self, coeffs: Dict | None = None):
         clean: Dict = {}
@@ -141,7 +145,10 @@ class SparseCombination(_Immutable):
         return data
 
     def _term_json(self, key, val) -> dict:
-        return {self._field: key.to_json(), "coeff": str(val)}
+        term = {self._field: key.to_json()}
+        for name, make in self._term_fields:
+            term[name] = make(val)
+        return term
 
     @classmethod
     def from_json(cls, data: dict):
@@ -247,9 +254,7 @@ class CosetAlgebraElement(SparseCombination):
         return item[0].surface.sort_key()
 
     _key_from_json = staticmethod(DoubleCoset.from_json)
-
-    def _term_json(self, key, val) -> dict:
-        return {"surface": key.to_json(), "coeff": str(val), "value": float(val)}
+    _term_fields = (("coeff", str), ("value", float))
 
 
 def _least_matched(p: DoubleCoset, q: DoubleCoset, n: int) -> int:

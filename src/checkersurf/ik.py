@@ -152,9 +152,10 @@ def lift(p: CheckerSurface, m: int) -> GroupAlgebraElement:
         for x, y in enumerate(inj):
             h1[y] = inj[a1[x]]
             h2[y] = inj[a2[x]]
-        seen.add(Triple._from_zero_based(m, h1, h2, ident))
+        seen.add((tuple(h1), tuple(h2)))
     coeff = perm(m, k) // len(seen)
-    return GroupAlgebraElement._from_clean(dict.fromkeys(seen, coeff), m)
+    coeffs = {Triple._from_zero_based(m, h1, h2, ident): coeff for h1, h2 in seen}
+    return GroupAlgebraElement._from_clean(coeffs, m)
 
 
 def project(x: IKElement, n: int) -> GroupAlgebraElement:

@@ -8,16 +8,27 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkersurf import cli
+from checkersurf import cli, surface
 from checkersurf.cli import main
+from checkersurf.convolution import CosetAlgebraElement, GroupAlgebraElement, coset_decomposition
+from checkersurf.cosets import DoubleCoset, circledast
+from checkersurf.ik import IKElement, ik_product, project
 from checkersurf.spherical import Tensor3
-from checkersurf.surface import components, disjoint_union, random_triple
+from checkersurf.surface import (
+    Triple,
+    canonical_form,
+    checker_surface,
+    components,
+    disjoint_union,
+    random_triple,
+)
 from oracles import assignment_sum_oracle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -286,6 +297,20 @@ def test_census_refuses_huge_degree_promptly():
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert "over the 1000000 budget: degrees 1 to 7 alone" in proc.stderr
+
+
+def test_census_reads_each_class_in_one_components_pass(capsys, monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    real = surface.components
+    monkeypatch.setattr(surface, "components", counted)
+    rc, out, _ = invoke(capsys, "census", "--n", "4", "--quiet")
+    assert rc == 0
+    assert len(calls) == sum(d["classes"] for d in json.loads(out)["degrees"]) == 59
 
 
 def test_census_breakdown_totals(tmp_path, capsys):
@@ -592,3 +617,102 @@ def test_subcommand_json_matches_stdlib_encoding(tmp_path, capsys, name):
     rc, out, err = invoke(capsys, *argv, "--quiet")
     assert rc == 0, err
     assert out == stdlib_json_text(json.loads(out))
+
+
+# JSON output of sparse combinations: written from their arrays, checked
+# against the stdlib encoding of to_json()
+
+def random_coefficient(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 3, 7]))
+
+
+def random_labeled_coset(rng, alpha, beta):
+    t = random_triple(rng, rng.randint(max(1, alpha, beta), 4))
+    return DoubleCoset.from_triple(t, alpha, beta)
+
+
+def seeded_elements(seed):
+    """Elements of all three classes: integral, negative and non-integral
+    coefficients, degree-0 keys, labeled keys, and empty elements."""
+    rng = random.Random(seed)
+    x = IKElement({
+        checker_surface(random_triple(rng, rng.randint(0, 3))): random_coefficient(rng)
+        for _ in range(5)
+    })
+    p, q = (checker_surface(random_triple(rng, 3)) for _ in range(2))
+    empty_triple = Triple._from_zero_based(0, (), (), ())
+    alpha, beta, gamma = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+    left, right = random_labeled_coset(rng, alpha, beta), random_labeled_coset(rng, beta, gamma)
+    decomp = coset_decomposition(left, right, max(left.degree, right.degree) + 1)
+    bare = DoubleCoset(canonical_form(empty_triple, 0, 0))
+    return [
+        x,
+        ik_product(p, q).scale(random_coefficient(rng)),
+        IKElement({checker_surface(empty_triple): Fraction(-1, 2)}),
+        IKElement(),
+        project(x, 4),
+        project(x, 3).scale(Fraction(-5, 3)),
+        GroupAlgebraElement(0, {empty_triple: Fraction(3, 4)}),
+        GroupAlgebraElement(3),
+        decomp,
+        decomp.scale(Fraction(-7, 2)),
+        coset_decomposition(bare, bare, 2),
+        CosetAlgebraElement(4, alpha, gamma, {}),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_element_json_matches_stdlib_encoding_of_to_json(seed):
+    elements = seeded_elements(seed)
+    kinds = {type(x) for x in elements}
+    assert kinds == {IKElement, GroupAlgebraElement, CosetAlgebraElement}
+    for x in elements:
+        data = x.to_json()
+        assert cli._json_text(x) == stdlib_json_text(data)
+        # the same element at two depths of one payload
+        nested = {"a": [x], "b": x}
+        assert cli._json_text(nested) == stdlib_json_text({"a": [data], "b": data})
+    assert cli._json_text(elements) == stdlib_json_text([x.to_json() for x in elements])
+
+
+def test_element_json_covers_degree_zero_and_labeled_keys():
+    texts = [cli._json_text(x) for seed in range(12) for x in seeded_elements(seed)]
+    assert any('"blue": []' in text for text in texts)
+    assert any('"alpha": 2' in text and '"beta": 1' in text for text in texts)
+    assert any('"value": -' in text for text in texts)
+    assert any('"terms": []' in text for text in texts)
+
+
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_ik_project_prints_the_to_json_of_the_projection(tmp_path, capsys, n):
+    three = write(tmp_path, "three.json", THREE)
+    pair = write(tmp_path, "pair.json", TRANSPOSITION)
+    rc, out, _ = invoke(capsys, "ik-product", three, pair, "--quiet")
+    assert rc == 0
+    p, q = (checker_surface(Triple.from_json(t)) for t in (THREE, TRANSPOSITION))
+    x = ik_product(p, q)
+    assert out == stdlib_json_text(x.to_json())
+    rc, out, _ = invoke(capsys, "ik-project", write(tmp_path, "x.json", json.loads(out)),
+                        "--n", str(n), "--quiet")
+    assert rc == 0
+    assert out == stdlib_json_text(project(x, n).to_json())
+
+
+def test_concentrate_prints_the_to_json_of_its_decompositions(tmp_path, capsys):
+    left, right = dict(THREE, alpha=1, beta=1), dict(TRANSPOSITION, alpha=1, beta=2)
+    argv = ["concentrate", write(tmp_path, "l.json", left), write(tmp_path, "r.json", right),
+            "--n-from", "3", "--n-to", "7", "--quiet"]
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 0, err
+    p, q = DoubleCoset.from_json(left), DoubleCoset.from_json(right)
+    target = circledast(p, q)
+    decomps = [coset_decomposition(p, q, n) for n in range(3, 8)]
+    sigmas = [d.coefficient(target) for d in decomps]
+    payload = {
+        "target": target.to_json(),
+        "series": [
+            {"n": n, "sigma": str(s), "value": float(s)} for n, s in zip(range(3, 8), sigmas)
+        ],
+        "decompositions": [d.to_json() for d in decomps],
+    }
+    assert out == stdlib_json_text(payload)
