@@ -11,18 +11,7 @@ import random
 import time
 
 from checkersurf.kernel import canonical_code
-
-
-def make_batch(rng, n, count):
-    batch = []
-    for _ in range(count):
-        arrs = []
-        for _ in range(3):
-            images = list(range(n))
-            rng.shuffle(images)
-            arrs.append(tuple(images))
-        batch.append(tuple(arrs))
-    return batch
+from checkersurf.surface import random_triple
 
 
 def time_kernel(n, batch, reps):
@@ -57,7 +46,8 @@ def main(argv=None):
     print("-" * len(header))
     for n in sizes:
         rng = random.Random(args.seed)
-        batch = make_batch(rng, n, args.batch)
+        triples = [random_triple(rng, n) for _ in range(args.batch)]
+        batch = [(t._b, t._r, t._y) for t in triples]
         print("%6d  %10.2f" % (n, time_kernel(n, batch, args.reps)))
 
 

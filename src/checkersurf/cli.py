@@ -23,7 +23,7 @@ import sys
 import tempfile
 from itertools import permutations
 from json.encoder import encode_basestring_ascii
-from math import factorial, isfinite
+from math import comb, factorial, isfinite, log10, perm
 
 from checkersurf.convolution import SparseCombination, coset_decomposition, matching_count
 from checkersurf.cosets import DoubleCoset, circledast, concat_geometric
@@ -322,8 +322,8 @@ def cmd_concentrate(args) -> None:
     needed = matching_count(p, q, args.n_to)
     if needed > args.max_terms:
         raise BudgetError(
-            "the decomposition canonicalizes %d partial matchings, over the %d budget"
-            % (needed, args.max_terms)
+            "the decomposition canonicalizes %s partial matchings, over the %d budget"
+            % (_count_text(needed), args.max_terms)
         )
     degrees = list(range(args.n_from, args.n_to + 1))
     target = circledast(p, q)
@@ -384,9 +384,19 @@ def _emit_element(element, args) -> None:
 
 
 def cmd_ik_product(args) -> None:
-    p = checker_surface(_load_triple(args.left))
-    q = checker_surface(_load_triple(args.right))
-    _emit_element(ik_product(p, q), args)
+    left, right = _load_triple(args.left), _load_triple(args.right)
+    # the partial bijections from left's blacks to right's whites, summed
+    # term by term up to the first partial sum over budget, as census does
+    count = 0
+    for k in range(min(left.n, right.n) + 1):
+        count += comb(left.n, k) * perm(right.n, k)
+        if count > DEFAULT_MAX_TERMS:
+            raise BudgetError(
+                "the gluing product of degrees %d and %d enumerates at least %d "
+                "partial bijections, over the %d budget"
+                % (left.n, right.n, count, DEFAULT_MAX_TERMS)
+            )
+    _emit_element(ik_product(checker_surface(left), checker_surface(right)), args)
 
 
 def cmd_ik_project(args) -> None:
@@ -420,6 +430,14 @@ def cmd_dessin(args) -> None:
         _emit(_json_text(dessin.to_json()), args)
     else:
         _emit(dessin.to_dot() + "\n", args)
+
+
+def _count_text(count: int) -> str:
+    """count in digits when short, else its order of magnitude read off its
+    bit length: an int of over 4,300 digits refuses conversion to str."""
+    if count < 10**18:
+        return "%d" % count
+    return "more than 10^%d" % int((count.bit_length() - 1) * log10(2))
 
 
 def _factorial_over(n: int, limit: int) -> bool:

@@ -16,20 +16,22 @@ so phi carries the weight
 
     (n - dp)_(kq - m) / (n - beta)_(kq),       (x)_k the falling factorial,
 
-which vanishes below n_min = dp + kq - m. Canonicalizing one
-representative of phi at n_min with unlabeled double triangles stripped
-gives its class at every n >= n_min. Up to degree n, one coset product
-therefore costs the sum over m >= dp + kq - n of C(kp, m) C(kq, m) m!
-canonicalizations for all degrees together, instead of (n - beta)! at
-each degree; every such phi is induced by some h, so the sum never
-exceeds (n - beta)!.
+which vanishes below n_min = dp + kq - m. The class of phi is the gluing
+that surface._glued makes of q's labeled blacks and phi's m pairs, the
+labels glued as in cosets.concat_geometric, so for m = 0 it is p
+circledast q; canonicalized at its degree n_min with unlabeled double
+triangles stripped, it is phi's class at every n >= n_min. With phi from
+surface._gluings, one coset product up to degree n costs the sum over
+m >= dp + kq - n of C(kp, m) C(kq, m) m! canonicalizations for all
+degrees together, not (n - beta)! at each degree; every such phi is
+induced by some h, so the sum never exceeds (n - beta)!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, factorial, perm
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -37,7 +39,7 @@ from checkersurf import kernel
 from checkersurf.errors import SchemaError
 from checkersurf.cosets import DoubleCoset, _check_pair, circledast
 from checkersurf.perm import _Immutable, _pad
-from checkersurf.surface import LabeledSurface, Triple
+from checkersurf.surface import LabeledSurface, Triple, _glued, _gluings
 
 __all__ = [
     "GroupAlgebraElement",
@@ -279,30 +281,12 @@ def matching_count(p: DoubleCoset, q: DoubleCoset, n: int) -> int:
 def _matching_classes(p: DoubleCoset, q: DoubleCoset, m: int) -> Tuple[Tuple[DoubleCoset, int], ...]:
     """(class, count): how many partial injections with m matched points
     yield each class. Independent of the ambient degree."""
-    alpha, beta, gamma = p.alpha, p.beta, q.beta
-    dp, dq = p.degree, q.degree
-    kp, n_min = dp - beta, dp + dq - beta - m
-    a = [_pad(arr, n_min) for arr in (p.surface._b, p.surface._r, p.surface._y)]
-    b = [_pad(arr, n_min) for arr in (q.surface._b, q.surface._r, q.surface._y)]
-    canonical_code = kernel.canonical_code
-    free_p = set(range(beta, dp))
+    P, Q = p.surface, q.surface
+    alpha, gamma = p.alpha, q.beta
     counts: Dict[tuple, int] = {}
-    for dom in combinations(range(beta, dq), m):
-        # h: dom -> img as phi; the other points of [beta, dq) onto
-        # [dp, n_min); [dq, n_min) onto the points of [beta, dp) phi misses,
-        # in any order (every h inducing phi gives its class)
-        base = list(range(n_min))
-        for i, x in enumerate(x for x in range(beta, dq) if x not in dom):
-            base[x] = dp + i
-        for img in permutations(range(beta, dp), m):
-            h = base[:]
-            for x, y in zip(dom, img):
-                h[x] = y
-            if m < kp:
-                h[dq:] = free_p.difference(img)
-            prods = [tuple([ac[h[y]] for y in bc]) for ac, bc in zip(a, b)]
-            code = canonical_code(n_min, prods[0], prods[1], prods[2], alpha, gamma, True)
-            counts[code] = counts.get(code, 0) + 1
+    for dom, img in _gluings(Q, P, p.beta, m):
+        code = kernel.canonical_code(*_glued(Q, P, dom, img), alpha, gamma, True)
+        counts[code] = counts.get(code, 0) + 1
     return tuple(
         (DoubleCoset(LabeledSurface(alpha, gamma, *code)), cnt) for code, cnt in counts.items()
     )

@@ -11,8 +11,10 @@ product has two independent realizations kept in agreement by tests:
 * concat_geometric: remove the beta labeled white triangles of the left
   factor and the beta labeled black triangles of the right factor, glue
   the freed boundaries color to color, and canonicalize the resulting
-  cell complex. The cut and reglue is surface._glued, the same routine
-  the gluing product of the surface algebra uses (checkersurf.ik).
+  cell complex. The cut and reglue is surface._glued, which serves three
+  products: this one, each class of the coset decomposition
+  (checkersurf.convolution) and the gluing product of the surface
+  algebra (checkersurf.ik).
 
 >>> p = DoubleCoset.from_triple(Triple("(1 2)", "()", "()"), 0, 0)
 >>> circledast(p, p).surface.n

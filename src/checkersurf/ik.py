@@ -5,11 +5,9 @@ The product sums over partial bijections from the black triangles of the
 left factor to the white triangles of the right factor; each bijection
 glues the matched triangle pairs away and the result is canonicalized.
 Structure constants count bijections, so they are nonnegative integers.
-The cut and reglue is surface._glued, shared with the geometric coset
-product (checkersurf.cosets): the result numbers the left factor's
-whites first, then the right factor's unmatched whites, and the right
-factor's blacks first, then the left factor's unmatched blacks. The
-label-free canonical form forgets that numbering.
+surface._gluings lists the bijections and surface._glued, which all three
+gluing products share (checkersurf.cosets, checkersurf.convolution), cuts
+and reglues; the label-free canonical form forgets _glued's numbering.
 
 Projections to pair algebras: a surface of degree k lifts at degree
 m >= k to a multiple of a conjugacy-class sum in the group algebra of
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import perm
 from typing import Dict, Tuple
 
@@ -44,6 +42,7 @@ from checkersurf.surface import (
     CheckerSurface,
     Triple,
     _glued,
+    _gluings,
     checker_surface,
     disjoint_union,
 )
@@ -111,13 +110,11 @@ def ik_product(p, q) -> IKElement:
     """
     p = _as_surface(p)
     q = _as_surface(q)
-    m, n = p.n, q.n
-    coeffs: Dict[CheckerSurface, Fraction] = {}
-    for k in range(min(m, n) + 1):
-        for dom in combinations(range(m), k):
-            for img in permutations(range(n), k):
-                r = _glue(p, q, dom, img)
-                coeffs[r] = coeffs.get(r, Fraction(0)) + 1
+    coeffs: Dict[CheckerSurface, int] = {}
+    for k in range(min(p.n, q.n) + 1):
+        for dom, img in _gluings(p, q, 0, k):
+            r = _glue(p, q, dom, img)
+            coeffs[r] = coeffs.get(r, 0) + 1
     return IKElement(coeffs)
 
 
@@ -181,15 +178,11 @@ def poisson_bracket(p, q) -> IKElement:
     """
     p = _as_surface(p)
     q = _as_surface(q)
-    coeffs: Dict[CheckerSurface, Fraction] = {}
-    for b in range(p.n):
-        for w in range(q.n):
-            r = _glue(p, q, (b,), (w,))
-            coeffs[r] = coeffs.get(r, Fraction(0)) + 1
-    for b in range(q.n):
-        for w in range(p.n):
-            r = _glue(q, p, (b,), (w,))
-            coeffs[r] = coeffs.get(r, Fraction(0)) - 1
+    coeffs: Dict[CheckerSurface, int] = {}
+    for left, right, sign in ((p, q, 1), (q, p, -1)):
+        for dom, img in _gluings(left, right, 0, 1):
+            r = _glue(left, right, dom, img)
+            coeffs[r] = coeffs.get(r, 0) + sign
     return IKElement(coeffs)
 
 

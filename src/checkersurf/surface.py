@@ -4,8 +4,8 @@ A closed oriented surface glued from n white and n black triangles with
 3-colored edges is the same data as a triple of permutations: white
 triangle j meets black triangle p^c(j) along its color-c edge. This module
 holds the dictionary in both directions, the component / vertex / Euler
-analytics, the two canonical-form types on one base, the cut and reglue
-that both gluing products use, and the dessin export.
+analytics, the two canonical-form types on one base, the partial gluings
+and the cut and reglue of all three gluing products, and the dessin export.
 
 The analytics take one pass: the vertices are the cycles of the three
 gluing words, and each component's chi is its vertex count minus its size,
@@ -20,8 +20,9 @@ every vertex charged to the component of its first point.
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations, compress, permutations
 from operator import attrgetter
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from checkersurf import kernel
 from checkersurf.errors import SchemaError
@@ -623,7 +624,7 @@ def _glued(p, q, dom: Sequence[int], img: Sequence[int]) -> Tuple[int, List[int]
     dom[i] to white img[i] color to color, and route each edge of p into a
     removed black through to the matched white's neighbor in q.
 
-    p and q are anything with n and 0-based _b, _r, _y arrays. Returns the
+    p and q are anything with n and 0-based _b, _r, _y tuples. Returns the
     degree and the 0-based blue, red and yellow arrays, numbered with p's
     whites first, then q's unmatched whites in order, and q's blacks
     first, then p's unmatched blacks in order.
@@ -632,16 +633,37 @@ def _glued(p, q, dom: Sequence[int], img: Sequence[int]) -> Tuple[int, List[int]
     (2, [1, 0], [0, 1], [0, 1])
     """
     m, n = p.n, q.n
-    to = [0] * m  # to[t]: the black that an edge of p into black t now reaches
-    for i, t in enumerate([t for t in range(m) if t not in dom]):
-        to[t] = n + i
-    free = [w for w in range(n) if w not in img]
+    kept, free = [1] * m, [1] * n  # p's blacks and q's whites left unmatched
+    for t, w in zip(dom, img):
+        kept[t] = free[w] = 0
+    # h[t]: q's white that an edge of p into black t reaches; if t is kept,
+    # n plus the kept blacks before t, which ext maps to t's new number
+    h = list(accumulate(kept, initial=n))
+    for t, w in zip(dom, img):
+        h[t] = w
+    tail = tuple(range(n, n + m - len(dom)))
     cols = []
     for pc, qc in ((p._b, q._b), (p._r, q._r), (p._y, q._y)):
-        for t, w in zip(dom, img):
-            to[t] = qc[w]
-        cols.append([to[t] for t in pc] + [qc[w] for w in free])
+        ext = qc + tail
+        cols.append([ext[h[t]] for t in pc])
+        cols[-1] += compress(qc, free)
     return m + n - len(dom), cols[0], cols[1], cols[2]
+
+
+def _gluings(p, q, fixed: int, k: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The (dom, img) arguments of _glued for each partial bijection that
+    glues p's blacks range(fixed) to q's whites range(fixed), then k more
+    of p's blacks from [fixed, p.n) to k of q's whites from [fixed, q.n).
+
+    >>> t = Triple("()", "()", "()", n=3)
+    >>> list(_gluings(t, t, 1, 1))
+    [((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 2), (0, 1)), ((0, 2), (0, 2))]
+    """
+    head = tuple(range(fixed))
+    for dom in combinations(range(fixed, p.n), k):
+        dom = head + dom
+        for img in permutations(range(fixed, q.n), k):
+            yield dom, head + img
 
 
 def random_triple(rng, n: int) -> Triple:

@@ -145,6 +145,24 @@ def test_concentrate_budget_exit(tmp_path, capsys):
     assert "7 partial matchings" in err and "6 budget" in err
 
 
+@pytest.mark.parametrize("n", ["2000", "4000"])
+def test_concentrate_budget_exit_on_a_count_of_thousands_of_digits(tmp_path, n):
+    # 1,000 disjoint transpositions: the matching count has over 5,000
+    # digits, more than str() of an int may have; a subprocess, so that a
+    # check that hangs fails by timing out
+    cycles = "".join("(%d %d)" % (i, i + 1) for i in range(1, 2000, 2))
+    coset = {"blue": cycles, "red": "()", "yellow": "()", "n": 2000, "alpha": 0, "beta": 0}
+    path = write(tmp_path, "p.json", coset)
+    proc = subprocess.run(
+        [sys.executable, "-m", "checkersurf.cli", "concentrate", path, path,
+         "--n-from", n, "--n-to", n],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    digits = {"2000": 5735, "4000": 5772}[n]
+    assert "more than 10^%d partial matchings, over the 1000000 budget" % digits in proc.stderr
+
+
 def test_concentrate_budget_counts_matchings_not_degree(tmp_path, capsys):
     # beta = 4 leaves one free point on each side: 2 partial matchings,
     # though the h-sum at degree 10 has 6! = 720 terms
@@ -297,6 +315,21 @@ def test_census_refuses_huge_degree_promptly():
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert "over the 1000000 budget: degrees 1 to 7 alone" in proc.stderr
+
+
+def test_ik_product_refuses_huge_gluing_count_promptly(tmp_path):
+    # two degree-10 surfaces: 234,662,231 partial bijections; the budget
+    # check stops at k = 4, where the partial sum first passes 10^6
+    path = write(
+        tmp_path, "d10.json",
+        {"blue": "(1 2 3 4 5 6 7 8 9 10)", "red": "(1 3)(2 7 5)", "yellow": "(4 9)(6 8 10)"},
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "checkersurf.cli", "ik-product", path, path],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "at least 1148951 partial bijections, over the 1000000 budget" in proc.stderr
 
 
 def test_census_reads_each_class_in_one_components_pass(capsys, monkeypatch):

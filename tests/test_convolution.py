@@ -299,6 +299,17 @@ def test_decompositions_canonicalize_each_matching_once(monkeypatch):
             assert max(calls, default=0) <= n
 
 
+def test_unmatched_piece_is_the_coset_product():
+    # m = 0 glues the beta labels alone: concat_geometric, whose class is
+    # p circledast q, the limit the decomposition concentrates on
+    rng = random.Random(35)
+    for _ in range(300):
+        alpha, beta, gamma = (rng.randint(0, 2) for _ in range(3))
+        p = random_coset(rng, alpha, beta, 5)
+        q = random_coset(rng, beta, gamma, 5)
+        assert convolution._matching_classes(p, q, 0) == ((circledast(p, q), 1),)
+
+
 def test_decomposition_matches_hsum_oracle_at_the_least_degree():
     # Degrees 5-6 at n = max(dp, dq): most matchings do not fit yet.
     rng = random.Random(32)
