@@ -7,6 +7,11 @@ or usage, 3 budget exceeded, 4 internal failure (a cross-check that
 disagreed or any other unexpected error). Every run is deterministic given
 its flags and seed.
 
+The enumerating subcommands, concentrate, ik-product, poisson, census and
+ik-project, charge their work before it runs: _charge reads running totals
+counted by the formula of the enumerator they bound (surface._gluing_count
+for gluings) and exits 3 at the first total over the limit.
+
 Each call builds the parser of the invoked subcommand alone, from the
 SUBCOMMANDS table; the full parser is built only for help and for errors
 whose usage line lists every subcommand. Nothing is cached.
@@ -21,11 +26,12 @@ import random
 import re
 import sys
 import tempfile
-from itertools import permutations
+from itertools import accumulate, permutations
 from json.encoder import encode_basestring_ascii
-from math import comb, factorial, isfinite, log10, perm
+from math import factorial, isfinite, log10
+from operator import mul
 
-from checkersurf.convolution import SparseCombination, coset_decomposition, matching_count
+from checkersurf.convolution import SparseCombination, _matching_counts, coset_decomposition
 from checkersurf.cosets import DoubleCoset, circledast, concat_geometric
 from checkersurf.errors import BudgetError, InvariantError, SchemaError
 from checkersurf.ik import IKElement, ik_product, poisson_bracket, project
@@ -39,8 +45,8 @@ from checkersurf.spherical import (
 from checkersurf.surface import (
     CheckerSurface,
     Triple,
+    _gluing_count,
     canonical_form,
-    checker_surface,
     genus,
     random_triple,
     to_dessin,
@@ -319,12 +325,10 @@ def cmd_concentrate(args) -> None:
     q = _load_coset(args.right, args.max_terms)
     if args.n_from > args.n_to:
         raise SchemaError("--n-from must not exceed --n-to")
-    needed = matching_count(p, q, args.n_to)
-    if needed > args.max_terms:
-        raise BudgetError(
-            "the decomposition canonicalizes %s partial matchings, over the %d budget"
-            % (_count_text(needed), args.max_terms)
-        )
+    _charge(
+        accumulate(_matching_counts(p, q, args.n_to)), args.max_terms,
+        "the decomposition up to degree %d canonicalizes {} partial matchings" % args.n_to,
+    )
     degrees = list(range(args.n_from, args.n_to + 1))
     target = circledast(p, q)
     decomps = [coset_decomposition(p, q, n) for n in degrees]
@@ -385,18 +389,13 @@ def _emit_element(element, args) -> None:
 
 def cmd_ik_product(args) -> None:
     left, right = _load_triple(args.left), _load_triple(args.right)
-    # the partial bijections from left's blacks to right's whites, summed
-    # term by term up to the first partial sum over budget, as census does
-    count = 0
-    for k in range(min(left.n, right.n) + 1):
-        count += comb(left.n, k) * perm(right.n, k)
-        if count > DEFAULT_MAX_TERMS:
-            raise BudgetError(
-                "the gluing product of degrees %d and %d enumerates at least %d "
-                "partial bijections, over the %d budget"
-                % (left.n, right.n, count, DEFAULT_MAX_TERMS)
-            )
-    _emit_element(ik_product(checker_surface(left), checker_surface(right)), args)
+    _charge(
+        accumulate(_gluing_count(left, right, 0, k) for k in range(min(left.n, right.n) + 1)),
+        DEFAULT_MAX_TERMS,
+        "the gluing product of degrees %d and %d enumerates {} partial bijections"
+        % (left.n, right.n),
+    )
+    _emit_element(ik_product(left, right), args)
 
 
 def cmd_ik_project(args) -> None:
@@ -408,19 +407,23 @@ def cmd_ik_project(args) -> None:
             _check_degree(args.input, term.get("surface"), args.max_terms)
     x = IKElement.from_json(data)
     lifted = sum(1 for surface, _ in x.items() if surface.n <= args.n)
-    if lifted and _factorial_over(args.n, args.max_terms // lifted):
-        raise BudgetError(
-            "lifting %d surfaces to degree %d is charged %d x %d!, an upper bound "
-            "on the injections it enumerates, over the %d budget"
-            % (lifted, args.n, lifted, args.n, args.max_terms)
+    if lifted:
+        _charge(
+            accumulate(range(1, args.n + 1), mul, initial=lifted), args.max_terms,
+            "lifting %d surfaces to degree %d is charged %d x %d!, {} injections"
+            % (lifted, args.n, lifted, args.n),
         )
     _emit_element(project(x, args.n), args)
 
 
 def cmd_poisson(args) -> None:
-    p = checker_surface(_load_triple(args.left))
-    q = checker_surface(_load_triple(args.right))
-    _emit_element(poisson_bracket(p, q), args)
+    left, right = _load_triple(args.left), _load_triple(args.right)
+    _charge(
+        accumulate([_gluing_count(left, right, 0, 1), _gluing_count(right, left, 0, 1)]),
+        DEFAULT_MAX_TERMS,
+        "the Poisson bracket of degrees %d and %d enumerates {} gluings" % (left.n, right.n),
+    )
+    _emit_element(poisson_bracket(left, right), args)
 
 
 def cmd_dessin(args) -> None:
@@ -433,21 +436,19 @@ def cmd_dessin(args) -> None:
 
 
 def _count_text(count: int) -> str:
-    """count in digits when short, else its order of magnitude read off its
-    bit length: an int of over 4,300 digits refuses conversion to str."""
+    """A lower bound on count: its digits when short, else its magnitude
+    from its bit length, as an int of over 4,300 digits refuses str()."""
     if count < 10**18:
-        return "%d" % count
+        return "at least %d" % count
     return "more than 10^%d" % int((count.bit_length() - 1) * log10(2))
 
 
-def _factorial_over(n: int, limit: int) -> bool:
-    """Whether n! > limit, found without computing n! in full."""
-    count = 1
-    for k in range(2, n + 1):
-        count *= k
-        if count > limit:
-            return True
-    return count > limit
+def _charge(totals, limit: int, what: str) -> None:
+    """Raise BudgetError at the first nondecreasing running total over
+    limit, reading no further; the message is what, {} filled by it."""
+    for total in totals:
+        if total > limit:
+            raise BudgetError("%s, over the %d budget" % (what.format(_count_text(total)), limit))
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -478,16 +479,10 @@ def _burnside_pair_classes(n: int) -> int:
 
 def cmd_census(args) -> None:
     _require_nonnegative(args.n)
-    # stop at the first degree over budget: the total up to a huge --n
-    # would take longer to compute than to refuse
-    cost = 0
-    for d in range(1, args.n + 1):
-        cost += factorial(d) ** 2
-        if cost > args.max_terms:
-            raise BudgetError(
-                "census up to degree %d is over the %d budget: degrees 1 to %d alone "
-                "need %d enumerations" % (args.n, args.max_terms, d, cost)
-            )
+    _charge(
+        accumulate(factorial(d) ** 2 for d in range(1, args.n + 1)), args.max_terms,
+        "census up to degree %d enumerates {} pairs of permutations" % args.n,
+    )
     report = []
     for d in range(1, args.n + 1):
         seen = set()

@@ -32,14 +32,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial, perm
-from typing import Callable, Dict, Iterable, List, Tuple
+from math import factorial, perm
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from checkersurf import kernel
 from checkersurf.errors import SchemaError
 from checkersurf.cosets import DoubleCoset, _check_pair, circledast
 from checkersurf.perm import _Immutable, _pad
-from checkersurf.surface import LabeledSurface, Triple, _glued, _gluings
+from checkersurf.surface import LabeledSurface, Triple, _glued, _gluing_count, _gluings
 
 __all__ = [
     "GroupAlgebraElement",
@@ -259,10 +259,18 @@ class CosetAlgebraElement(SparseCombination):
     _term_fields = (("coeff", str), ("value", float))
 
 
-def _least_matched(p: DoubleCoset, q: DoubleCoset, n: int) -> int:
-    """Fewest matched points a partial injection needs to fit in degree n
-    (n_min = dp + kq - m <= n); those with fewer weigh 0 there."""
-    return max(0, p.degree + q.degree - p.beta - n)
+def _matched(p: DoubleCoset, q: DoubleCoset, n: int) -> range:
+    """The numbers m of matched points of the partial injections that fit
+    in degree n (n_min = dp + kq - m <= n); those with fewer weigh 0 there."""
+    kp, kq = p.degree - p.beta, q.degree - p.beta
+    return range(max(0, p.degree + q.degree - p.beta - n), min(kp, kq) + 1)
+
+
+def _matching_counts(p: DoubleCoset, q: DoubleCoset, n: int) -> Iterator[int]:
+    """What _matching_classes(p, q, m) canonicalizes, for each m in
+    _matched(p, q, n); lazy, so that a running total can stop early."""
+    _check_pair(p, q)
+    return (_gluing_count(q.surface, p.surface, p.beta, m) for m in _matched(p, q, n))
 
 
 def matching_count(p: DoubleCoset, q: DoubleCoset, n: int) -> int:
@@ -270,11 +278,7 @@ def matching_count(p: DoubleCoset, q: DoubleCoset, n: int) -> int:
     n: the canonicalizations behind coset_decomposition(p, q, n') at every
     n' <= n. Never more than the (n - beta)! terms of the h-sum, since
     each is induced by some h."""
-    _check_pair(p, q)
-    kp, kq = p.degree - p.beta, q.degree - p.beta
-    return sum(
-        comb(kq, m) * perm(kp, m) for m in range(_least_matched(p, q, n), min(kp, kq) + 1)
-    )
+    return sum(_matching_counts(p, q, n))
 
 
 @lru_cache
@@ -306,9 +310,9 @@ def coset_decomposition(p: DoubleCoset, q: DoubleCoset, n: int) -> CosetAlgebraE
             "degree %d cannot embed representatives of degrees %d and %d"
             % (n, p.degree, q.degree)
         )
-    kp, kq = p.degree - p.beta, q.degree - p.beta
+    kq = q.degree - p.beta
     weights: Dict[DoubleCoset, int] = {}
-    for m in range(_least_matched(p, q, n), min(kp, kq) + 1):
+    for m in _matched(p, q, n):
         w = perm(n - p.degree, kq - m)
         for coset, cnt in _matching_classes(p, q, m):
             weights[coset] = weights.get(coset, 0) + cnt * w

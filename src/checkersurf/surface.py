@@ -21,6 +21,7 @@ every vertex charged to the component of its first point.
 from __future__ import annotations
 
 from itertools import accumulate, combinations, compress, permutations
+from math import comb, perm
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
@@ -664,6 +665,17 @@ def _gluings(p, q, fixed: int, k: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[
         dom = head + dom
         for img in permutations(range(fixed, q.n), k):
             yield dom, head + img
+
+
+def _gluing_count(p, q, fixed: int, k: int) -> int:
+    """How many gluings _gluings(p, q, fixed, k) yields, without making
+    them: C(p.n - fixed, k) (q.n - fixed)_k.
+
+    >>> t, u = Triple("()", "()", "()", n=3), Triple("()", "()", "()", n=4)
+    >>> _gluing_count(t, u, 1, 2) == len(list(_gluings(t, u, 1, 2))) == 6
+    True
+    """
+    return comb(p.n - fixed, k) * perm(q.n - fixed, k)
 
 
 def random_triple(rng, n: int) -> Triple:

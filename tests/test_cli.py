@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkersurf import cli, surface
+from checkersurf import cli, ik, surface
 from checkersurf.cli import main
 from checkersurf.convolution import CosetAlgebraElement, GroupAlgebraElement, coset_decomposition
 from checkersurf.cosets import DoubleCoset, circledast
@@ -159,8 +159,29 @@ def test_concentrate_budget_exit_on_a_count_of_thousands_of_digits(tmp_path, n):
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
     )
     assert proc.returncode == 3 and proc.stdout == ""
-    digits = {"2000": 5735, "4000": 5772}[n]
-    assert "more than 10^%d partial matchings, over the 1000000 budget" % digits in proc.stderr
+    expected = {
+        "2000": "more than 10^5735 partial matchings, over the 1000000 budget",
+        # the running total passes the budget at m = 1: 1 + 2000 x 2000
+        "4000": "the decomposition up to degree 4000 canonicalizes at least 4000001 "
+        "partial matchings, over the 1000000 budget",
+    }[n]
+    assert expected in proc.stderr
+
+
+def test_concentrate_budget_stops_at_the_first_total_over_it(tmp_path):
+    # 5,000 disjoint transpositions at degree 20,000: every m from 0 fits,
+    # and the full matching count takes tens of seconds to compute, so the
+    # check must stop at m = 1, where 1 + 10,000^2 passes the budget
+    cycles = "".join("(%d %d)" % (i, i + 1) for i in range(1, 10000, 2))
+    coset = {"blue": cycles, "red": "()", "yellow": "()", "n": 10000, "alpha": 0, "beta": 0}
+    path = write(tmp_path, "p.json", coset)
+    proc = subprocess.run(
+        [sys.executable, "-m", "checkersurf.cli", "concentrate", path, path,
+         "--n-from", "20000", "--n-to", "20000"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "at least 100000001 partial matchings, over the 1000000 budget" in proc.stderr
 
 
 def test_concentrate_budget_counts_matchings_not_degree(tmp_path, capsys):
@@ -314,7 +335,10 @@ def test_census_refuses_huge_degree_promptly():
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
     )
     assert proc.returncode == 3 and proc.stdout == ""
-    assert "over the 1000000 budget: degrees 1 to 7 alone" in proc.stderr
+    assert (
+        "census up to degree 100000 enumerates at least 25935017 pairs of permutations, "
+        "over the 1000000 budget" in proc.stderr
+    )
 
 
 def test_ik_product_refuses_huge_gluing_count_promptly(tmp_path):
@@ -330,6 +354,54 @@ def test_ik_product_refuses_huge_gluing_count_promptly(tmp_path):
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert "at least 1148951 partial bijections, over the 1000000 budget" in proc.stderr
+
+
+def test_poisson_refuses_huge_gluing_count_promptly(tmp_path):
+    # two degree-1,000 surfaces: 2 x 1,000 x 1,000 single gluings, each a
+    # canonicalization of degree 1,999
+    cycles = "".join("(%d %d)" % (i, i + 1) for i in range(1, 1000, 2))
+    path = write(tmp_path, "d1000.json", {"blue": cycles, "red": "()", "yellow": "()"})
+    proc = subprocess.run(
+        [sys.executable, "-m", "checkersurf.cli", "poisson", path, path],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "at least 2000000 gluings, over the 1000000 budget" in proc.stderr
+
+
+def test_gluing_charges_are_the_gluings_that_run(tmp_path, capsys, monkeypatch):
+    # the last running total that ik-product and poisson charge is the
+    # number of ik._glue calls that follow, and the sum of _gluing_count
+    # over the pieces each enumerates
+    charged, glued = [], []
+
+    def charge(totals, limit, what):
+        totals = list(totals)
+        charged.append(totals[-1])
+        real_charge(totals, limit, what)
+
+    def glue(*args):
+        glued.append(1)
+        return real_glue(*args)
+
+    real_charge, real_glue = cli._charge, ik._glue
+    monkeypatch.setattr(cli, "_charge", charge)
+    monkeypatch.setattr(ik, "_glue", glue)
+    rng = random.Random(91)
+    for i in range(40):
+        p, q = random_triple(rng, i % 5), random_triple(rng, rng.randint(1, 4))
+        left, right = write(tmp_path, "p.json", p.to_json()), write(tmp_path, "q.json", q.to_json())
+        pieces = {
+            "ik-product": [(p, q, 0, k) for k in range(min(p.n, q.n) + 1)],
+            "poisson": [(p, q, 0, 1), (q, p, 0, 1)],
+        }
+        for command, gluings in pieces.items():
+            charged.clear()
+            glued.clear()
+            rc, _, err = invoke(capsys, command, left, right, "--quiet")
+            assert rc == 0, err
+            assert charged == [len(glued)]
+            assert len(glued) == sum(surface._gluing_count(*g) for g in gluings)
 
 
 def test_census_reads_each_class_in_one_components_pass(capsys, monkeypatch):
