@@ -1,7 +1,9 @@
 """Benchmark the canonical-labeling kernel.
 
-Runs canonical_code on the same batch of seeded random triples at several
-degrees and prints microseconds per call, best of three timed passes.
+Runs canonical_code at several degrees on the same batch of seeded random
+triples, and on one n-cycle (blue the cycle, red and yellow the identity),
+whose every white is a root of the minimal code. Prints microseconds per
+call for each, best of three timed passes.
 
 Usage: python3 benchmarks/bench_kernel.py [--sizes 4,8,16,32] [--reps 2000]
 """
@@ -41,14 +43,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
 
-    header = "%6s  %10s" % ("n", "us/op")
+    header = "%6s  %10s  %11s" % ("n", "us/op", "cycle us/op")
     print(header)
     print("-" * len(header))
     for n in sizes:
         rng = random.Random(args.seed)
         triples = [random_triple(rng, n) for _ in range(args.batch)]
         batch = [(t._b, t._r, t._y) for t in triples]
-        print("%6d  %10.2f" % (n, time_kernel(n, batch, args.reps)))
+        ident = tuple(range(n))
+        cycle = tuple((w + 1) % n for w in range(n))
+        print("%6d  %10.2f  %11.2f" % (
+            n, time_kernel(n, batch, args.reps), time_kernel(n, [(cycle, ident, ident)], args.reps)
+        ))
 
 
 if __name__ == "__main__":

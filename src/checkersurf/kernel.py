@@ -15,12 +15,27 @@ Phases:
      components sort by (size, code);
   C. emit the relabeled arrays.
 
+Both BFSs walk the whites in numbering order; a black, once numbered,
+numbers its new whites at once. Whites and blacks are each processed in
+their numbering order, so the numbering is that of one FIFO of both.
+
+Phase B emits a root's code white by white against the best code so far:
+the root stops at its first larger entry, and after its first smaller one
+it finishes without comparing. A root whose full code ties with the best
+is the best root's image under an automorphism, read off the two BFS
+white orders position by position. A union-find over the component's
+whites, built at the first tie, merges along every such automorphism;
+a root is skipped when its class holds a root already tried, since
+equivalent roots give equal codes. So a component costs about one BFS per
+root that its automorphisms do not cover and that survives its first
+entries: near-linear on random and on symmetric components, quadratic
+still on nearly symmetric ones, where roots far from the defect share
+long prefixes.
+
 Equivariance of BFS under admissible relabelings makes the result constant
 on double cosets; the emitted blocks depend only on the minimal codes, so
 the map is idempotent and injective across cosets at fixed n.
 """
-
-from collections import deque
 
 __all__ = ["canonical_code", "BACKEND"]
 
@@ -63,84 +78,73 @@ def canonical_code(n, blue, red, yellow, alpha, beta, strip):
     white_num = [-1] * n
     black_num = [-1] * n
 
-    # Phase A: whites encoded 2w, blacks 2b+1; pins enqueued whites first.
+    # Phase A: pins keep their numbers; pinned blacks number their new
+    # whites, then the walk over the whites numbers the rest.
+    order = list(range(beta))
     for w in range(beta):
         white_num[w] = w
     for b in range(alpha):
         black_num[b] = b
     next_w = beta
     next_b = alpha
-    queue = deque()
-    for w in range(beta):
-        queue.append(2 * w)
     for b in range(alpha):
-        queue.append(2 * b + 1)
-    while queue:
-        v = queue.popleft()
-        if v & 1:
-            b = v >> 1
-            for inv in inverses:
-                w = inv[b]
-                if white_num[w] < 0:
-                    white_num[w] = next_w
-                    next_w += 1
-                    queue.append(2 * w)
-        else:
-            w = v >> 1
-            for img in images:
-                b = img[w]
-                if black_num[b] < 0:
-                    black_num[b] = next_b
-                    next_b += 1
-                    queue.append(2 * b + 1)
-
-    # Phase B: unpinned components.
-    comp_seen = [False] * n
-
-    def local_run(root):
-        # Single-source BFS; local numbering of whites and blacks from 0.
-        lw = {root: 0}
-        lb = {}
-        order_w = [root]
-        dq = deque([2 * root])
-        while dq:
-            v = dq.popleft()
-            if v & 1:
-                b = v >> 1
+        for inv in inverses:
+            w = inv[b]
+            if white_num[w] < 0:
+                white_num[w] = next_w
+                next_w += 1
+                order.append(w)
+    for w in order:  # the loop reaches the whites appended as it runs
+        for img in images:
+            b = img[w]
+            if black_num[b] < 0:
+                black_num[b] = next_b
+                next_b += 1
                 for inv in inverses:
-                    w = inv[b]
-                    if w not in lw:
-                        lw[w] = len(lw)
-                        order_w.append(w)
-                        dq.append(2 * w)
-            else:
-                w = v >> 1
-                for img in images:
-                    b = img[w]
-                    if b not in lb:
-                        lb[b] = len(lb)
-                        dq.append(2 * b + 1)
-        code = []
-        for w in order_w:
-            code.append(lb[blue[w]])
-            code.append(lb[red[w]])
-            code.append(lb[yellow[w]])
-        return tuple(code), order_w
+                    v = inv[b]
+                    if white_num[v] < 0:
+                        white_num[v] = next_w
+                        next_w += 1
+                        order.append(v)
 
+    # Phase B: unpinned components; place[w] is w's position in the first
+    # root's BFS order of its component, -1 while w is unvisited.
+    place = [-1] * n
     kept = []
     for w0 in range(n):
-        if white_num[w0] >= 0 or comp_seen[w0]:
+        if white_num[w0] >= 0 or place[w0] >= 0:
             continue
-        best, whites = local_run(w0)
-        for w in whites:
-            comp_seen[w] = True
+        best, whites = _root_code(w0, images, inverses, None)
+        for i, w in enumerate(whites):
+            place[w] = i
         k = len(whites)
         if strip and k == 1:
             continue
-        for root in whites[1:]:
-            code = local_run(root)[0]
+        best_whites = whites
+        # Union-find over positions, built at the first tie. A class is
+        # represented by its earliest position, so a position that does not
+        # represent its class has an equivalent root tried before it.
+        parent = None
+        for i in range(1, k):
+            if parent is not None and _find(parent, i) != i:
+                continue
+            run = _root_code(whites[i], images, inverses, best)
+            if run is None:
+                continue
+            code, run_whites = run
             if code < best:
-                best = code
+                best, best_whites = code, run_whites
+                continue
+            # A tie: best_whites[j] -> run_whites[j] is an automorphism.
+            if parent is None:
+                parent = list(range(k))
+            for u, v in zip(best_whites, run_whites):
+                a = _find(parent, place[u])
+                c = _find(parent, place[v])
+                if a < c:
+                    parent[c] = a
+                elif c < a:
+                    parent[a] = c
         kept.append((k, best))
     kept.sort()
 
@@ -167,3 +171,45 @@ def canonical_code(n, blue, red, yellow, alpha, beta, strip):
         off_w += k
         off_b += k
     return n2, tuple(out_blue), tuple(out_red), tuple(out_yellow)
+
+
+def _root_code(root, images, inverses, best):
+    """Local BFS code of root's component, emitted white by white.
+
+    Returns (code, whites): code lists each white's local blue, red and
+    yellow black numbers in BFS order, whites is that order. With best
+    given, returns None at the first entry larger than best's; after the
+    first smaller entry the run finishes without comparing.
+    """
+    num = {}
+    whites = [root]
+    seen = {root}
+    code = []
+    tied = best is not None
+    for w in whites:
+        for img in images:
+            b = img[w]
+            x = num.get(b)
+            if x is None:
+                x = num[b] = len(num)
+                for inv in inverses:
+                    v = inv[b]
+                    if v not in seen:
+                        seen.add(v)
+                        whites.append(v)
+            if tied:
+                y = best[len(code)]
+                if x != y:
+                    if x > y:
+                        return None
+                    tied = False
+            code.append(x)
+    return code, whites
+
+
+def _find(parent, i):
+    """Class root of i, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i

@@ -84,6 +84,21 @@ def test_canon_rejects_bad_labels(tmp_path, capsys):
     assert rc == 2 and "alpha" in err
 
 
+def test_canon_of_a_long_cycle_is_prompt(tmp_path):
+    # every white of one 20,000-cycle is a root of the same code; a kernel
+    # that builds each root's code takes minutes, so a subprocess with a
+    # timeout fails it
+    cycle = "(%s)" % " ".join(str(i) for i in range(1, 20001))
+    path = write(tmp_path, "c.json", {"blue": cycle, "red": "()", "yellow": "()"})
+    proc = subprocess.run(
+        [sys.executable, "-m", "checkersurf.cli", "canon", path, "--quiet"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0
+    form = json.loads(proc.stdout)
+    assert form["n"] == 20000 and len(form["components"]) == 1
+
+
 def test_product_reports_path_agreement(tmp_path, capsys):
     left = write(tmp_path, "p.json", THREE)
     right = write(tmp_path, "q.json", TRANSPOSITION)

@@ -3,7 +3,8 @@
 Oracles here are independent of the kernel: double-coset orbits are
 enumerated directly by applying the two-sided relabeling action, and the
 pair census has a closed-form Burnside count (sum over cycle types of the
-centralizer order).
+centralizer order). The kernel's pruned root search is also compared with
+`oracles.canonical_code_oracle`, which builds every root's full code.
 """
 
 import math
@@ -12,7 +13,9 @@ from itertools import permutations
 
 import pytest
 
+from checkersurf import kernel
 from checkersurf.kernel import BACKEND, canonical_code
+from oracles import canonical_code_oracle
 
 
 def all_perms(n):
@@ -192,6 +195,134 @@ def test_label_counts_validated():
 def test_rejects_non_bijections():
     with pytest.raises(ValueError):
         canonical_code(2, (0, 0), (0, 1), (0, 1), 0, 0, True)
+
+
+@pytest.mark.parametrize("alpha,beta", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+def test_label_count_error_message(alpha, beta):
+    ident = (0, 1)
+    message = "label counts alpha=%r beta=%r out of range for n=2" % (alpha, beta)
+    with pytest.raises(ValueError) as err:
+        canonical_code(2, ident, ident, ident, alpha, beta, True)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("color", [0, 1, 2])
+@pytest.mark.parametrize(
+    "bad", [(0, 1, 3), (0, -1, 2), (0, 2, 0)], ids=["range", "negative", "duplicate"]
+)
+def test_non_bijection_error_message(color, bad):
+    arrays = [(0, 1, 2)] * 3
+    arrays[color] = bad
+    name = ("blue", "red", "yellow")[color]
+    with pytest.raises(ValueError) as err:
+        canonical_code(3, *arrays, 0, 0, True)
+    assert str(err.value) == "%s is not a bijection of range(n)" % name
+
+
+def shuffled(rng, n):
+    a = list(range(n))
+    rng.shuffle(a)
+    return a
+
+
+def relabeled(rng, arrays):
+    """The arrays under a random relabeling of whites and of blacks."""
+    n = len(arrays[0])
+    left, right = shuffled(rng, n), shuffled(rng, n)
+    return [[left[a[right[w]]] for w in range(n)] for a in arrays]
+
+
+def random_triples(rng):
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        yield [shuffled(rng, n) for _ in range(3)]
+
+
+def disjoint_copies(rng):
+    # 1 to 4 copies of one component, each renumbered, then all shuffled
+    for _ in range(60):
+        m, copies = rng.randint(1, 6), rng.randint(1, 4)
+        base = [shuffled(rng, m) for _ in range(3)]
+        arrays = [[0] * (m * copies) for _ in range(3)]
+        for c in range(copies):
+            wl, bl = shuffled(rng, m), shuffled(rng, m)
+            for w in range(m):
+                for a, img in zip(arrays, base):
+                    a[c * m + wl[w]] = c * m + bl[img[w]]
+        yield relabeled(rng, arrays)
+
+
+def cycle_powers(rng):
+    # powers of one n-cycle in blue, red and yellow: transitive symmetry
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        ks = [rng.randrange(n) for _ in range(3)]
+        if rng.random() < 0.5:
+            ks[1] = ks[2] = 0
+        yield relabeled(rng, [[(w + k) % n for w in range(n)] for k in ks])
+
+
+def regular_actions(rng):
+    # Z_a x Z_c acting freely: white (w, g) meets black (img[w], g + v)
+    # for a random voltage v per white and color, over a random triple on
+    # m points; the group acts regularly on each fiber, and on everything
+    # when m = 1
+    for _ in range(80):
+        a, c, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+        base = [shuffled(rng, m) for _ in range(3)]
+        arrays = []
+        for img in base:
+            volts = [(rng.randrange(a), rng.randrange(c)) for _ in range(m)]
+            arrays.append([
+                (img[w] * a + (i + volts[w][0]) % a) * c + (j + volts[w][1]) % c
+                for w in range(m) for i in range(a) for j in range(c)
+            ])
+        yield relabeled(rng, arrays)
+
+
+def cycle_with_defect(rng):
+    # a long cycle whose red swaps two nearby points: roots far from the
+    # swap share long code prefixes
+    for _ in range(40):
+        n = rng.randint(3, 40)
+        red = list(range(n))
+        i = rng.randrange(n)
+        j = (i + rng.randint(1, 3)) % n
+        red[i], red[j] = red[j], red[i]
+        yield relabeled(rng, [[(w + 1) % n for w in range(n)], red, list(range(n))])
+
+
+@pytest.mark.parametrize(
+    "family", [random_triples, disjoint_copies, cycle_powers, regular_actions, cycle_with_defect]
+)
+def test_matches_full_root_enumeration(family):
+    rng = random.Random(family.__name__)
+    for arrays in family(rng):
+        n = len(arrays[0])
+        settings = [(0, 0, True), (0, 0, False)]
+        settings.append((rng.randint(0, n), rng.randint(0, n), rng.random() < 0.5))
+        settings.append((rng.randint(0, 1), rng.randint(0, 1), False))
+        for alpha, beta, strip in settings:
+            expected = canonical_code_oracle(n, *arrays, alpha, beta, strip)
+            assert canonical_code(n, *arrays, alpha, beta, strip) == expected
+
+
+def test_cycle_starts_at_most_two_root_runs(monkeypatch):
+    # the second root ties with the first; the rotation it yields covers
+    # every other root
+    runs = []
+    root_code = kernel._root_code
+
+    def counted(*args):
+        runs.append(args[0])
+        return root_code(*args)
+
+    monkeypatch.setattr(kernel, "_root_code", counted)
+    n = 2000
+    ident = tuple(range(n))
+    cycle = tuple((w + 1) % n for w in range(n))
+    assert canonical_code(n, cycle, ident, ident, 0, 0, True)[0] == n
+    assert len(runs) <= 2
 
 
 def test_empty_input():
