@@ -10,11 +10,13 @@ its flags and seed.
 The enumerating subcommands, concentrate, ik-product, poisson, census and
 ik-project, charge their work before it runs: _charge reads running totals
 counted by the formula of the enumerator they bound (surface._gluing_count
-for gluings) and exits 3 at the first total over the limit.
+for gluings) and exits 3 at the first total over the limit; concentrate
+charges its matchings, then their weights over its degree range. An input
+triple's degree and random's --n are refused over their limit, also exit 3.
 
-Each call builds the parser of the invoked subcommand alone, from the
-SUBCOMMANDS table; the full parser is built only for help and for errors
-whose usage line lists every subcommand. Nothing is cached.
+Each call parses once, with the invoked subcommand's parser alone, whose
+usage line names every subcommand; the full parser is built only for
+help, an empty argv and an unknown command. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import argparse
 import json
 import os
 import random
-import re
 import sys
 import tempfile
 from itertools import accumulate, permutations
@@ -31,11 +32,13 @@ from json.encoder import encode_basestring_ascii
 from math import factorial, isfinite, log10
 from operator import mul
 
-from checkersurf.convolution import SparseCombination, _matching_counts, coset_decomposition
+from checkersurf.convolution import (
+    SparseCombination, _matching_counts, coset_decomposition, matching_count)
 from checkersurf.cosets import DoubleCoset, circledast, concat_geometric
 from checkersurf.errors import BudgetError, InvariantError, SchemaError
 from checkersurf.ik import IKElement, ik_product, poisson_bracket, project
 from checkersurf.kernel import canonical_code
+from checkersurf.perm import _cycle_points
 from checkersurf.spherical import (
     DEFAULT_MAX_ASSIGNMENTS,
     Tensor3,
@@ -43,6 +46,7 @@ from checkersurf.spherical import (
     spherical_oracle,
 )
 from checkersurf.surface import (
+    COLORS,
     CheckerSurface,
     Triple,
     _gluing_count,
@@ -74,18 +78,17 @@ def _load_json(path: str) -> dict:
 
 def _check_degree(path: str, data, limit: int) -> None:
     """Refuse, before building it, a triple whose JSON asks for a degree
-    over limit: its "n" or the largest point of a cycle string."""
+    over limit: its "n" or the largest point of a well-formed cycle string."""
     if not isinstance(data, dict):
         return
     sizes = [data.get("n")]
-    for color in ("blue", "red", "yellow"):
+    for color in COLORS:
         value = data.get(color)
         if isinstance(value, str):
-            for token in re.split(r"[\s,()]+", value):
-                try:
-                    sizes.append(int(token))
-                except ValueError:
-                    pass  # not a point; the cycle-string parser rejects it
+            try:
+                sizes += [max(points, default=0) for points in _cycle_points(value)]
+            except ValueError:
+                pass  # malformed: the parser rejects it before it allocates
     degree = max((s for s in sizes if type(s) is int), default=0)
     if degree > limit:
         raise BudgetError("%s asks for degree %d, over the %d budget" % (path, degree, limit))
@@ -190,9 +193,10 @@ def _members(texts: dict, newline: str) -> str:
 
 def _combination_json(element, newline: str, memo: dict) -> str:
     """The text of element.to_json() at the level newline. Each term fills
-    one %-template with its _term_fields and its key's integers and
-    0-based arrays; a DoubleCoset key is written as its surface. memo maps
-    the level of a key's members to the text of each array written there."""
+    one %-template with its _term_fields and its key's _json_members, the
+    arrays' texts made once; a DoubleCoset key is written as its surface.
+    memo maps the level of a key's members to the text of each array
+    written there."""
     inner = newline + "  "
     texts = {name: _json(getattr(element, name), inner, memo) for name in element._params}
     items = element.items()
@@ -204,22 +208,17 @@ def _combination_json(element, newline: str, memo: dict) -> str:
     key_nl = field_nl + "  "
     arrays = memo.setdefault(key_nl, _ArrayTexts(key_nl))
     coset = isinstance(items[0][0], DoubleCoset)
-    key_params = getattr(items[0][0].surface if coset else items[0][0], "_params", ())
-    key = {name: "%%(%s)d" % name for name in (*key_params, "n")}
-    key.update(blue="%(_b)s", red="%(_r)s", yellow="%(_y)s")
+    first = items[0][0].surface if coset else items[0][0]
+    key = {name: "%%(%s)s" % name for name in first._json_members(str)}
     fields = {name: "%%(%s)s" % name for name, _ in element._term_fields}
     fields[element._field] = _members(key, field_nl)
     template = _members(fields, term_nl)
+    array_text = arrays.__getitem__
     terms = []
     for k, val in items:
-        s = k.surface if coset else k
-        values = {name: _json(make(val), field_nl, memo) for name, make in element._term_fields}
-        for name in key_params:
-            values[name] = getattr(s, name)
-        values["n"] = s.n
-        values["_b"] = arrays[s._b]
-        values["_r"] = arrays[s._r]
-        values["_y"] = arrays[s._y]
+        values = (k.surface if coset else k)._json_members(array_text)
+        for name, make in element._term_fields:
+            values[name] = _json(make(val), field_nl, memo)
         terms.append(template % values)
     texts["terms"] = "[" + term_nl + ("," + term_nl).join(terms) + inner + "]"
     return _members(texts, newline)
@@ -253,17 +252,7 @@ def _note(args, message: str) -> None:
 def _element_rows(element) -> list:
     rows = [("n", "blue", "red", "yellow", "coeff", "value")]
     for key, val in element.items():
-        t = key.canonical_triple if hasattr(key, "canonical_triple") else key
-        rows.append(
-            (
-                t.n,
-                t.blue.cycle_string(),
-                t.red.cycle_string(),
-                t.yellow.cycle_string(),
-                str(val),
-                float(val),
-            )
-        )
+        rows.append((key.n, *key.cycle_strings(), str(val), float(val)))
     return rows
 
 
@@ -273,19 +262,12 @@ def _emit_surface(surface, args, tsv_tail, **json_extra) -> None:
     labels and cycle strings followed by the rows tsv_tail(info) makes of
     that JSON."""
     if args.format == "dot":
-        _emit(to_dessin(surface.triple).to_dot() + "\n", args)
+        _emit(to_dessin(surface).to_dot() + "\n", args)
         return
     info = surface.describe()
     if args.format == "tsv":
-        t = surface.triple
-        rows = [
-            ("degree", surface.n),
-            ("alpha", surface.alpha),
-            ("beta", surface.beta),
-            ("blue", t.blue.cycle_string()),
-            ("red", t.red.cycle_string()),
-            ("yellow", t.yellow.cycle_string()),
-        ]
+        rows = [("degree", surface.n), ("alpha", surface.alpha), ("beta", surface.beta)]
+        rows += zip(COLORS, surface.cycle_strings())
         _emit(_tsv_text(rows + tsv_tail(info)), args)
     else:
         info.update(json_extra)
@@ -328,6 +310,12 @@ def cmd_concentrate(args) -> None:
     _charge(
         accumulate(_matching_counts(p, q, args.n_to)), args.max_terms,
         "the decomposition up to degree %d canonicalizes {} partial matchings" % args.n_to,
+    )
+    _charge(
+        accumulate(matching_count(p, q, n) for n in range(args.n_from, args.n_to + 1)),
+        args.max_terms,
+        "the decompositions of degrees %d to %d weigh {} partial matchings"
+        % (args.n_from, args.n_to),
     )
     degrees = list(range(args.n_from, args.n_to + 1))
     target = circledast(p, q)
@@ -530,16 +518,11 @@ def cmd_census(args) -> None:
 
 def cmd_random(args) -> None:
     _require_nonnegative(args.n)
+    _check_degree("--n", {"n": args.n}, DEFAULT_MAX_TERMS)
     rng = random.Random(args.seed)
     t = random_triple(rng, args.n)
     if args.format == "tsv":
-        rows = [
-            ("blue", t.blue.cycle_string()),
-            ("red", t.red.cycle_string()),
-            ("yellow", t.yellow.cycle_string()),
-            ("n", t.n),
-        ]
-        _emit(_tsv_text(rows), args)
+        _emit(_tsv_text([*zip(COLORS, t.cycle_strings()), ("n", t.n)]), args)
     else:
         _emit(_json_text(t.to_json()), args)
 
@@ -662,7 +645,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="checkersurf",
         description="Calculus of checker triangulated surfaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one subcommand's usage line names them all, so its errors read as the full parser's
+    names = None if command is None else "{%s}" % ",".join(_BY_NAME)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
     for name, aliases, help_line, add_arguments in (
         SUBCOMMANDS if command is None else (_BY_NAME[command],)
     ):
@@ -683,15 +668,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # help, an empty argv and an unknown command need every subcommand
-    command = argv[0] if argv and argv[0] in _BY_NAME else None
-    args, extras = build_parser(command).parse_known_args(argv)
-    # errors from the top-level parser print its usage, which lists every
-    # subcommand: report them through the full parser
-    if extras:
-        build_parser().parse_args(argv)  # exits on the unrecognized arguments
+    parser = build_parser(argv[0] if argv and argv[0] in _BY_NAME else None)
+    args = parser.parse_args(argv)
     args.format = args.format or args.formats[0]
     if args.format not in args.formats:
-        build_parser().error(
+        parser.error(
             "%s prints only --format %s" % (args.command, " or ".join(args.formats))
         )
     try:

@@ -143,7 +143,7 @@ def _shift_product(tp: Triple, tq: Triple, alpha: int, beta: int, gamma: int, j:
 
 
 def circledast_with_reps(tp: Triple, tq: Triple, alpha: int, beta: int, gamma: int) -> LabeledSurface:
-    """Shift product from arbitrary representatives of the two cosets.
+    """Shift product from any representatives, triples or surfaces, of the two cosets.
 
     Constancy of the value at the stabilized shift is rechecked at j0 and
     j0 + 1 on every call; disagreement raises InvariantError.
@@ -167,9 +167,7 @@ def circledast(p: DoubleCoset, q: DoubleCoset) -> DoubleCoset:
     True
     """
     _check_pair(p, q)
-    return DoubleCoset(
-        circledast_with_reps(p.surface.triple, q.surface.triple, p.alpha, p.beta, q.beta)
-    )
+    return DoubleCoset(circledast_with_reps(p.surface, q.surface, p.alpha, p.beta, q.beta))
 
 
 def concat_geometric(P: LabeledSurface, Q: LabeledSurface) -> LabeledSurface:
@@ -189,4 +187,4 @@ def concat_geometric(P: LabeledSurface, Q: LabeledSurface) -> LabeledSurface:
 
 def star(p: DoubleCoset) -> DoubleCoset:
     """The involution: componentwise inverse, labels swap sides."""
-    return DoubleCoset.from_triple(reverse(p.surface.triple), p.beta, p.alpha)
+    return DoubleCoset.from_triple(reverse(p.surface), p.beta, p.alpha)

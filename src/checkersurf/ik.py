@@ -190,4 +190,4 @@ def graded_product(p, q) -> CheckerSurface:
     """Disjoint union: the commutative product of the associated graded."""
     p = _as_surface(p)
     q = _as_surface(q)
-    return checker_surface(disjoint_union(p.canonical_triple, q.canonical_triple))
+    return checker_surface(disjoint_union(p, q))

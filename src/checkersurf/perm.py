@@ -18,7 +18,7 @@ Permutation((3, 1, 2))
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "Permutation",
@@ -71,6 +71,44 @@ def _cycles(arr: Sequence[int]) -> List[Tuple[int, ...]]:
             x = arr[x]
         out.append(tuple(cyc))
     return out
+
+
+def _cycle_string(arr: Sequence[int]) -> str:
+    """Cycle notation of a 0-based image array, nontrivial cycles only;
+    ``()`` for the identity. The one writer of cycle notation.
+
+    >>> _cycle_string((1, 2, 0, 3, 5, 4))
+    '(1 2 3)(5 6)'
+    """
+    parts = ["(" + " ".join(map(str, cyc)) + ")" for cyc in _cycles(arr) if len(cyc) > 1]
+    return "".join(parts) or "()"
+
+
+def _cycle_points(text: str) -> Iterator[List[int]]:
+    """The points of each cycle of notation like ``"(1 2 3)(4 5)"``, commas
+    also splitting; the one reader of cycle notation. Raises ValueError
+    on malformed text or a cycle with a nonpositive or repeated point.
+
+    >>> list(_cycle_points("(1 2 3)(4, 5)"))
+    [[1, 2, 3], [4, 5]]
+    """
+    text = text.strip()
+    if text in ("", "()", "id", "e"):
+        return
+    if text.count("(") != text.count(")") or not text.startswith("("):
+        raise ValueError("malformed cycle string: %r" % (text,))
+    for chunk in text.replace(")", ")\n").split("\n"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if not (chunk.startswith("(") and chunk.endswith(")")):
+            raise ValueError("malformed cycle string: %r" % (text,))
+        points = [int(tok) for tok in chunk[1:-1].replace(",", " ").split()]
+        if any(x < 1 for x in points):
+            raise ValueError("points must be positive: %r" % (text,))
+        if len(set(points)) != len(points):
+            raise ValueError("repeated point inside a cycle: %r" % (chunk,))
+        yield points
 
 
 class _Immutable:
@@ -168,11 +206,7 @@ class Permutation(_Immutable):
         >>> Permutation((2, 3, 1, 4, 6, 5)).cycle_string()
         '(1 2 3)(5 6)'
         """
-        parts = []
-        for cyc in cycles(self, range(1, self.deg + 1)):
-            if len(cyc) > 1:
-                parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-        return "".join(parts) if parts else "()"
+        return _cycle_string([x - 1 for x in self._images])
 
     @classmethod
     def from_cycle_string(cls, text: str) -> "Permutation":
@@ -183,27 +217,11 @@ class Permutation(_Immutable):
         >>> Permutation.from_cycle_string("()")
         Permutation(())
         """
-        text = text.strip()
-        if text in ("", "()", "id", "e"):
-            return cls(())
-        if text.count("(") != text.count(")") or not text.startswith("("):
-            raise ValueError("malformed cycle string: %r" % (text,))
         mapping = {}
-        for chunk in text.replace(")", ")\n").split("\n"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ValueError("malformed cycle string: %r" % (text,))
-            body = chunk[1:-1].replace(",", " ").split()
-            points = [int(tok) for tok in body]
-            if any(x < 1 for x in points):
-                raise ValueError("points must be positive: %r" % (text,))
-            if len(set(points)) != len(points):
-                raise ValueError("repeated point inside a cycle: %r" % (chunk,))
+        for points in _cycle_points(text):
             for a, b in zip(points, points[1:] + points[:1]):
                 if a in mapping:
-                    raise ValueError("point %d appears in two cycles: %r" % (a, text))
+                    raise ValueError("point %d appears in two cycles: %r" % (a, text.strip()))
                 mapping[a] = b
         n = max(mapping) if mapping else 0
         return cls(tuple([mapping.get(x, x) for x in range(1, n + 1)]))

@@ -4,8 +4,9 @@ A closed oriented surface glued from n white and n black triangles with
 3-colored edges is the same data as a triple of permutations: white
 triangle j meets black triangle p^c(j) along its color-c edge. This module
 holds the dictionary in both directions, the component / vertex / Euler
-analytics, the two canonical-form types on one base, the partial gluings
-and the cut and reglue of all three gluing products, and the dessin export.
+analytics, the two canonical-form types on one array base with Triple,
+the partial gluings and the cut and reglue of all three gluing products,
+and the dessin export.
 
 The analytics take one pass: the vertices are the cycles of the three
 gluing words, and each component's chi is its vertex count minus its size,
@@ -27,7 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from checkersurf import kernel
 from checkersurf.errors import SchemaError
-from checkersurf.perm import Permutation, _cycles, _Immutable, _invert
+from checkersurf.perm import Permutation, _cycle_string, _cycles, _Immutable, _invert
 
 __all__ = [
     "Triple",
@@ -64,7 +65,37 @@ def _as_images(p: PermLike) -> Tuple[int, ...]:
     return Permutation(tuple(p)).images
 
 
-class Triple(_Immutable):
+class _Gluing(_Immutable):
+    """The degree n and the three 0-based gluing arrays with their
+    formats, the base of Triple and of the canonical surfaces; every
+    function here that reads a triple's arrays takes any of them.
+    """
+
+    __slots__ = ("n", "_b", "_r", "_y")
+    _params: Tuple[str, ...] = ()  # integer attributes a subclass adds
+
+    # the 1-based views
+    blue = property(lambda self: Permutation(tuple([x + 1 for x in self._b])))
+    red = property(lambda self: Permutation(tuple([x + 1 for x in self._r])))
+    yellow = property(lambda self: Permutation(tuple([x + 1 for x in self._y])))
+
+    def cycle_strings(self) -> Tuple[str, str, str]:
+        """Cycle notation of blue, red and yellow."""
+        return _cycle_string(self._b), _cycle_string(self._r), _cycle_string(self._y)
+
+    def to_json(self) -> dict:
+        return self._json_members(lambda arr: [x + 1 for x in arr])
+
+    def _json_members(self, array) -> dict:
+        """The members of to_json, each color's 0-based array written by
+        array: the one JSON layout, which cli._combination_json also reads."""
+        data = {"n": self.n, "blue": array(self._b), "red": array(self._r), "yellow": array(self._y)}
+        for name in self._params:
+            data[name] = getattr(self, name)
+        return data
+
+
+class Triple(_Gluing):
     """An element of S_n x S_n x S_n, the (blue, red, yellow) gluing data.
 
     Stored at a fixed ambient degree n; equality ignores trailing points
@@ -75,7 +106,7 @@ class Triple(_Immutable):
     True
     """
 
-    __slots__ = ("n", "_b", "_r", "_y", "_h")
+    __slots__ = ("_h",)
 
     def __init__(self, blue: PermLike, red: PermLike, yellow: PermLike, n: int | None = None):
         ib, ir, iy = _as_images(blue), _as_images(red), _as_images(yellow)
@@ -100,18 +131,6 @@ class Triple(_Immutable):
         object.__setattr__(t, "_r", tuple(r))
         object.__setattr__(t, "_y", tuple(y))
         return t
-
-    @property
-    def blue(self) -> Permutation:
-        return Permutation(tuple([x + 1 for x in self._b]))
-
-    @property
-    def red(self) -> Permutation:
-        return Permutation(tuple([x + 1 for x in self._r]))
-
-    @property
-    def yellow(self) -> Permutation:
-        return Permutation(tuple([x + 1 for x in self._y]))
 
     @property
     def deg(self) -> int:
@@ -139,15 +158,7 @@ class Triple(_Immutable):
             return h
 
     def __repr__(self) -> str:
-        return "Triple(%s, %s, %s, n=%d)" % (self.blue, self.red, self.yellow, self.n)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "blue": [x + 1 for x in self._b],
-            "red": [x + 1 for x in self._r],
-            "yellow": [x + 1 for x in self._y],
-        }
+        return "Triple(%s, %s, %s, n=%d)" % (*self.cycle_strings(), self.n)
 
     @classmethod
     def from_json(cls, data: dict) -> "Triple":
@@ -386,22 +397,21 @@ def reverse(t: Triple) -> Triple:
     return Triple._from_zero_based(t.n, _invert(t._b), _invert(t._r), _invert(t._y))
 
 
-class _CanonicalSurface(_Immutable):
-    """Storage, order and export shared by the canonical surface types.
+class _CanonicalSurface(_Gluing):
+    """Order and export shared by the canonical surface types.
 
     A subclass names its leading integer parameters in _params; the
     constructor takes those, then the degree n and the three 0-based
     gluing arrays. Instances are immutable and ordered by sort_key, the
     parameters followed by n and the arrays; instances of different
-    types never compare equal.
+    types never compare equal, nor equal a Triple.
     """
 
-    __slots__ = ("n", "_b", "_r", "_y")
-    _params: Tuple[str, ...] = ()
+    __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls._params + _CanonicalSurface.__slots__
+        cls._fields = cls._params + _Gluing.__slots__
         cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args):
@@ -428,22 +438,14 @@ class _CanonicalSurface(_Immutable):
         return self.sort_key() < other.sort_key()
 
     def __repr__(self):
-        t = self.triple
         params = "".join("%s=%d, " % (name, getattr(self, name)) for name in self._fields[:-3])
-        return "%s(%s%s, %s, %s)" % (type(self).__name__, params, t.blue, t.red, t.yellow)
-
-    def to_json(self) -> dict:
-        data = self.triple.to_json()
-        for name in self._params:
-            data[name] = getattr(self, name)
-        return data
+        return "%s(%s%s, %s, %s)" % (type(self).__name__, params, *self.cycle_strings())
 
     def describe(self) -> dict:
         """Triple JSON plus components, chi, genus, and the vertex census."""
-        t = self.triple
-        comps = components(t)
-        census = vertex_census(t)
-        chis = _chis(t, comps, census)
+        comps = components(self)
+        census = vertex_census(self)
+        chis = _chis(self, comps, census)
         data = self.to_json()
         data["components"] = [list(c) for c in comps]
         data["chi"] = chis
@@ -498,12 +500,11 @@ class CheckerSurface(_CanonicalSurface):
 
     @property
     def component_partition(self) -> List[Tuple[int, ...]]:
-        return components(self.canonical_triple)
+        return components(self)
 
     @property
     def chi_by_component(self) -> List[int]:
-        t = self.canonical_triple
-        return _chis(t, components(t), vertex_census(t))
+        return _chis(self, components(self), vertex_census(self))
 
     @property
     def genus_by_component(self) -> List[int]:
@@ -511,7 +512,7 @@ class CheckerSurface(_CanonicalSurface):
 
     @property
     def vertices(self) -> VertexCensus:
-        return vertex_census(self.canonical_triple)
+        return vertex_census(self)
 
     def double_triangle_count(self) -> int:
         return sum(1 for comp in self.component_partition if len(comp) == 1)

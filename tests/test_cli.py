@@ -836,3 +836,69 @@ def test_concentrate_prints_the_to_json_of_its_decompositions(tmp_path, capsys):
         "decompositions": [d.to_json() for d in decomps],
     }
     assert out == stdlib_json_text(payload)
+
+
+@pytest.mark.parametrize("n", ["3000000", "1000000000000"])
+def test_random_refuses_a_degree_over_the_cap_promptly(n):
+    # the cap on input degrees holds for random's --n too; a subprocess, so
+    # that building the triple instead fails by timing out
+    proc = subprocess.run(
+        [sys.executable, "-m", "checkersurf.cli", "random", "--n", n],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "--n asks for degree %s, over the 1000000 budget" % n in proc.stderr
+
+
+@pytest.mark.parametrize("n_to", ["200000", "1000000000000"])
+def test_concentrate_charges_the_weighing_of_its_degree_range_promptly(tmp_path, n_to):
+    # the transposition pair has 7 partial matchings, all weighed at every
+    # degree from 4: the running total passes 10^6 at the 142,858th degree
+    path = write(tmp_path, "p.json", dict(TRANSPOSITION, alpha=0, beta=0))
+    proc = subprocess.run(
+        [sys.executable, "-m", "checkersurf.cli", "concentrate", path, path, "--n-to", n_to],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert (
+        "the decompositions of degrees 4 to %s weigh at least 1000006 partial matchings, "
+        "over the 1000000 budget" % n_to in proc.stderr
+    )
+
+
+def test_concentrate_weighing_charge_counts_every_degree(tmp_path, capsys):
+    # 7 matchings at each of the degrees 4..9: 42 passes a limit of 41 and
+    # fits one of 42; the canonicalization charge, 7, passes neither
+    path = write(tmp_path, "p.json", dict(TRANSPOSITION, alpha=0, beta=0))
+    rc, _, err = invoke(capsys, "concentrate", path, path, "--max-terms", "41")
+    assert rc == 3 and "degrees 4 to 9 weigh at least 42 partial matchings" in err
+    rc, _, _ = invoke(capsys, "concentrate", path, path, "--max-terms", "42", "--quiet")
+    assert rc == 0
+
+
+def test_large_point_of_a_cycle_string_exits_three_exactly_over_the_cap(tmp_path, capsys):
+    # ik-project caps its surfaces' degrees at --max-terms; at --n 1 it
+    # lifts none of them, so an input under the cap exits 0
+    rng = random.Random(61)
+    limit = 40
+    for i in range(30):
+        big = rng.randint(limit - 3, limit + 3)
+        points = rng.sample(range(1, limit - 3), rng.randint(1, 6)) + [big]
+        rng.shuffle(points)
+        cut = rng.randint(1, len(points))
+        sep = rng.choice([" ", ", ", " ,"])
+        cycles = "".join("(%s)" % sep.join(map(str, part)) for part in (points[:cut], points[cut:]))
+        surface = {"blue": "()", "red": "()", "yellow": "()"}
+        surface[rng.choice(["blue", "red", "yellow"])] = cycles
+        path = write(tmp_path, "x%d.json" % i, {"terms": [{"surface": surface, "coeff": "1"}]})
+        rc, _, err = invoke(capsys, "ik-project", path, "--n", "1", "--max-terms", str(limit))
+        assert rc == (3 if big > limit else 0), (surface, err)
+        assert ("asks for degree %d" % big in err) == (big > limit)
+
+
+@pytest.mark.parametrize("text", ["(1 99999999999", "(1 99999999999))(", "(1 x 99999999999)"])
+def test_malformed_cycle_string_is_rejected_before_its_points_are_read(tmp_path, capsys, text):
+    path = write(tmp_path, "p.json", {"blue": text, "red": "()", "yellow": "()"})
+    rc, out, err = invoke(capsys, "canon", path)
+    assert rc == 2 and out == ""
+    assert "budget" not in err

@@ -99,3 +99,13 @@ def test_one_subparser_parses_as_the_full_parser(name):
     one = build_parser(name).parse_args(argv)
     full = build_parser().parse_args(argv)
     assert vars(one) == vars(full)
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_each_call_builds_one_parser(monkeypatch, capsys, name):
+    # a usage error of one subcommand is reported by the parser that read
+    # it, whose usage line names every subcommand as the full parser's does
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build_parser(*a))
+    exit_text(monkeypatch, capsys, ERRORS[name])
+    assert len(built) == 1

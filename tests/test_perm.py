@@ -7,6 +7,8 @@ import pytest
 
 from checkersurf.perm import (
     Permutation,
+    _cycle_points,
+    _cycle_string,
     _invert,
     compose,
     cycles,
@@ -133,3 +135,34 @@ def test_one_line_padding():
     assert perm("(1 2)").one_line(4) == (2, 1, 3, 4)
     with pytest.raises(ValueError):
         perm("(1 2 3)").one_line(2)
+
+
+def test_cycle_points_yields_each_cycle():
+    assert list(_cycle_points(" (1 2 3)(4, 5)( 7 ) ")) == [[1, 2, 3], [4, 5], [7]]
+    assert list(_cycle_points("(1 2)()")) == [[1, 2], []]
+    for text in ("", "()", "id", "e", "  "):
+        assert list(_cycle_points(text)) == []
+    # each cycle is checked before it is yielded, the text's shape first
+    points = _cycle_points("(1 2)(3 3)")
+    assert next(points) == [1, 2]
+    with pytest.raises(ValueError, match="repeated point"):
+        next(points)
+    for bad in ["(1 2", "1 2)", "(1 2))(", "(1 x)", "(0 1)", "(1 2) 3", "(1 (2 3))"]:
+        with pytest.raises(ValueError):
+            list(_cycle_points(bad))
+
+
+def test_cycle_string_is_the_text_of_the_public_cycles():
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        arr = list(range(n))
+        moved = rng.sample(range(n), rng.randint(0, n))  # the rest stay fixed
+        images = moved[:]
+        rng.shuffle(images)
+        for x, y in zip(moved, images):
+            arr[x] = y
+        p = Permutation(tuple([x + 1 for x in arr]))
+        parts = ["(%s)" % " ".join(map(str, c)) for c in cycles(p, range(1, n + 1)) if len(c) > 1]
+        expected = "".join(parts) or "()"
+        assert _cycle_string(arr) == p.cycle_string() == str(p) == expected

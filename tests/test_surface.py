@@ -13,7 +13,7 @@ from itertools import permutations
 import pytest
 from oracles import euler_by_cells_oracle
 
-from checkersurf.perm import Permutation, compose
+from checkersurf.perm import Permutation, compose, cycles
 from checkersurf import surface as surface_mod
 from checkersurf.convolution import CosetAlgebraElement, GroupAlgebraElement
 from checkersurf.cosets import DoubleCoset
@@ -372,3 +372,59 @@ def test_canonical_surfaces_are_immutable_with_fixed_reprs():
     arrays = (2, (1, 0), (0, 1), (0, 1))
     assert LabeledSurface(0, 0, *arrays) != CheckerSurface(*arrays)
     assert not LabeledSurface(0, 0, *arrays) == CheckerSurface(*arrays)
+
+
+def test_cycle_strings_are_the_text_of_the_public_cycles():
+    # identities, triples with fixed points, and disjoint unions, of
+    # degree 0 to 12, as triples and as canonical surfaces
+    rng = random.Random(71)
+
+    def text(p, n):
+        parts = ["(%s)" % " ".join(map(str, c)) for c in cycles(p, range(1, n + 1)) if len(c) > 1]
+        return "".join(parts) or "()"
+
+    def with_fixed_points(n):
+        arrs = []
+        for _ in range(3):
+            arr = list(range(n))
+            moved = rng.sample(range(n), rng.randint(0, n))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                arr[x] = y
+            arrs.append(arr)
+        return Triple._from_zero_based(n, *arrs)
+
+    triples = [Triple("()", "()", "()", n=n) for n in range(13)]
+    for _ in range(100):
+        n = rng.randint(0, 12)
+        a = rng.randint(0, n)
+        triples += [
+            random_triple(rng, n),
+            with_fixed_points(n),
+            disjoint_union(random_triple(rng, a), with_fixed_points(n - a)),
+        ]
+    for t in triples:
+        expected = tuple(text(getattr(t, color), t.n) for color in surface_mod.COLORS)
+        assert t.cycle_strings() == expected
+        assert repr(t) == "Triple(%s, %s, %s, n=%d)" % (*expected, t.n)
+        alpha, beta = rng.randint(0, t.n), rng.randint(0, t.n)
+        for s in (canonical_form(t, alpha, beta), checker_surface(t)):
+            u = s.triple
+            assert s.cycle_strings() == u.cycle_strings()
+            assert s.cycle_strings() == tuple(text(getattr(s, c), s.n) for c in surface_mod.COLORS)
+
+
+def test_triples_and_canonical_surfaces_share_one_json_layout():
+    rng = random.Random(73)
+    for _ in range(50):
+        n = rng.randint(0, 8)
+        t = random_triple(rng, n)
+        ls = canonical_form(t, rng.randint(0, n), rng.randint(0, n))
+        cs = checker_surface(t)
+        u = ls.triple
+        assert ls.to_json() == dict(u.to_json(), alpha=ls.alpha, beta=ls.beta)
+        assert cs.to_json() == cs.canonical_triple.to_json()
+        assert list(ls.to_json()) == ["n", "blue", "red", "yellow", "alpha", "beta"]
+        assert (ls.blue, ls.red, ls.yellow) == (u.blue, u.red, u.yellow)
+        # a triple never equals a canonical surface with its arrays
+        assert u != ls and ls != u and cs.canonical_triple != cs
+        assert len({u, ls}) == 2
