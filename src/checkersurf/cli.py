@@ -11,8 +11,11 @@ The enumerating subcommands, concentrate, ik-product, poisson, census and
 ik-project, charge their work before it runs: _charge reads running totals
 counted by the formula of the enumerator they bound (surface._gluing_count
 for gluings) and exits 3 at the first total over the limit; concentrate
-charges its matchings, then their weights over its degree range. An input
-triple's degree and random's --n are refused over their limit, also exit 3.
+charges its matchings, then their weights over its degree range, the
+degrees where every matching fits in one closed-form step. It then
+canonicalizes each matching once and weighs every degree from the one
+table of classes. An input triple's degree and random's --n are refused
+over their limit, also exit 3.
 
 Each call parses once, with the invoked subcommand's parser alone, whose
 usage line names every subcommand; the full parser is built only for
@@ -33,7 +36,7 @@ from math import factorial, isfinite, log10
 from operator import mul
 
 from checkersurf.convolution import (
-    SparseCombination, _matching_counts, coset_decomposition, matching_count)
+    SparseCombination, _decompositions, _matching_counts, matching_count)
 from checkersurf.cosets import DoubleCoset, circledast, concat_geometric
 from checkersurf.errors import BudgetError, InvariantError, SchemaError
 from checkersurf.ik import IKElement, ik_product, poisson_bracket, project
@@ -312,14 +315,13 @@ def cmd_concentrate(args) -> None:
         "the decomposition up to degree %d canonicalizes {} partial matchings" % args.n_to,
     )
     _charge(
-        accumulate(matching_count(p, q, n) for n in range(args.n_from, args.n_to + 1)),
-        args.max_terms,
+        _weighing_totals(p, q, args.n_from, args.n_to, args.max_terms), args.max_terms,
         "the decompositions of degrees %d to %d weigh {} partial matchings"
         % (args.n_from, args.n_to),
     )
-    degrees = list(range(args.n_from, args.n_to + 1))
+    degrees = range(args.n_from, args.n_to + 1)
     target = circledast(p, q)
-    decomps = [coset_decomposition(p, q, n) for n in degrees]
+    decomps = _decompositions(p, q, degrees)
     series = [decomp.coefficient(target) for decomp in decomps]
     rows = [("n", "sigma", "value")]
     for n, sigma in zip(degrees, series):
@@ -429,6 +431,24 @@ def _count_text(count: int) -> str:
     if count < 10**18:
         return "at least %d" % count
     return "more than 10^%d" % int((count.bit_length() - 1) * log10(2))
+
+
+def _weighing_totals(p, q, n_from: int, n_to: int, limit: int):
+    """The running totals of matching_count(p, q, n) over n_from..n_to
+    that _charge reads to find the first one over limit (limit >= 0). The
+    count is 0 below the degrees of p and q, and a constant c from
+    n = dp + kq on, where every matching fits. That tail is one total,
+    s + k c after the total s of the degrees before it: k is the tail's
+    length or, if less, (limit - s) // c + 1, the first k past limit."""
+    saturated = p.degree + q.degree - p.beta
+    total = 0
+    for n in range(max(n_from, p.degree, q.degree), min(n_to + 1, saturated)):
+        total += matching_count(p, q, n)
+        yield total
+    tail = n_to + 1 - max(n_from, saturated)
+    if tail > 0:
+        c = matching_count(p, q, saturated)
+        yield total + min(tail, (limit - total) // c + 1) * c
 
 
 def _charge(totals, limit: int, what: str) -> None:
@@ -553,8 +573,9 @@ def _concentrate_arguments(p) -> None:
         type=int,
         default=DEFAULT_MAX_TERMS,
         help="largest permitted number of partial matchings to canonicalize "
-        "up to --n-to; separately, the largest degree an input may ask for "
-        "(default %d)" % DEFAULT_MAX_TERMS,
+        "up to --n-to, and of matchings to weigh summed over the degrees "
+        "--n-from to --n-to; separately, the largest degree an input may "
+        "ask for (default %d)" % DEFAULT_MAX_TERMS,
     )
     p.set_defaults(func=cmd_concentrate, formats=("json", "tsv"))
 

@@ -24,13 +24,15 @@ triangles stripped, it is phi's class at every n >= n_min. With phi from
 surface._gluings, one coset product up to degree n costs the sum over
 m >= dp + kq - n of C(kp, m) C(kq, m) m! canonicalizations for all
 degrees together, not (n - beta)! at each degree; every such phi is
-induced by some h, so the sum never exceeds (n - beta)!.
+induced by some h, so the sum never exceeds (n - beta)!. _decompositions
+counts the classes of every m once into one table, class -> [(m, count)],
+and weighs each degree of a range from it in integers; nothing is cached
+between calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from math import factorial, perm
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
@@ -281,7 +283,6 @@ def matching_count(p: DoubleCoset, q: DoubleCoset, n: int) -> int:
     return sum(_matching_counts(p, q, n))
 
 
-@lru_cache
 def _matching_classes(p: DoubleCoset, q: DoubleCoset, m: int) -> Tuple[Tuple[DoubleCoset, int], ...]:
     """(class, count): how many partial injections with m matched points
     yield each class. Independent of the ambient degree."""
@@ -296,37 +297,53 @@ def _matching_classes(p: DoubleCoset, q: DoubleCoset, m: int) -> Tuple[Tuple[Dou
     )
 
 
+def _decompositions(p: DoubleCoset, q: DoubleCoset, degrees: Iterable[int]) -> List[CosetAlgebraElement]:
+    """coset_decomposition(p, q, n) for each n in degrees: the classes of
+    each m that fits in the largest degree canonicalized once, and every
+    degree weighed from one table of class -> [(m, count)]. A degree
+    that cannot embed p and q is refused before any work."""
+    _check_pair(p, q)
+    degrees = list(degrees)
+    for n in degrees:
+        if n < p.degree or n < q.degree:
+            raise SchemaError(
+                "degree %d cannot embed representatives of degrees %d and %d"
+                % (n, p.degree, q.degree)
+            )
+    if not degrees:
+        return []
+    table: Dict[DoubleCoset, List[Tuple[int, int]]] = {}
+    for m in _matched(p, q, max(degrees)):
+        for coset, cnt in _matching_classes(p, q, m):
+            table.setdefault(coset, []).append((m, cnt))
+    kq = q.degree - p.beta
+    out = []
+    for n in degrees:
+        # (n - dp)_(kq - m), positive exactly for the m in _matched(p, q, n)
+        falling = [perm(n - p.degree, kq - m) for m in range(kq + 1)]
+        total = perm(n - p.beta, kq)
+        coeffs = {}
+        for coset, counts in table.items():
+            w = sum([cnt * falling[m] for m, cnt in counts])
+            if w:
+                coeffs[coset] = Fraction(w, total)
+        out.append(CosetAlgebraElement._from_clean(coeffs, n, p.alpha, q.beta))
+    return out
+
+
 def coset_decomposition(p: DoubleCoset, q: DoubleCoset, n: int) -> CosetAlgebraElement:
     """Coefficients c^r with delta_p(n) * delta_q(n) = sum c^r delta_r(n).
 
     Sums the weights of the partial injections of each class (module
     docstring); exact, nonnegative, summing to 1. Only the injections
-    that fit in degree n are canonicalized, each once per (p, q) and
-    reused at every larger n.
+    that fit in degree n are canonicalized, each once; _decompositions
+    weighs a range of degrees from one canonicalization of each.
     """
-    _check_pair(p, q)
-    if n < p.degree or n < q.degree:
-        raise SchemaError(
-            "degree %d cannot embed representatives of degrees %d and %d"
-            % (n, p.degree, q.degree)
-        )
-    kq = q.degree - p.beta
-    weights: Dict[DoubleCoset, int] = {}
-    for m in _matched(p, q, n):
-        w = perm(n - p.degree, kq - m)
-        for coset, cnt in _matching_classes(p, q, m):
-            weights[coset] = weights.get(coset, 0) + cnt * w
-    total = perm(n - p.beta, kq)
-    coeffs = {coset: Fraction(w, total) for coset, w in weights.items()}
-    return CosetAlgebraElement(n, p.alpha, q.beta, coeffs)
+    return _decompositions(p, q, [n])[0]
 
 
 def sigma_series(p: DoubleCoset, q: DoubleCoset, n_range: Iterable[int]) -> List[Fraction]:
     """The concentration coefficients: weight of the coset product inside
     the decomposition, one exact value per degree."""
     target = circledast(p, q)
-    out = []
-    for n in n_range:
-        decomp = coset_decomposition(p, q, n)
-        out.append(decomp.coefficient(target))
-    return out
+    return [decomp.coefficient(target) for decomp in _decompositions(p, q, n_range)]

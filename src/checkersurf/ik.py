@@ -29,7 +29,6 @@ and the scalar, (m)_k / |class|, needs no separate centralizer count.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from math import perm
 from typing import Dict, Tuple
@@ -118,7 +117,6 @@ def ik_product(p, q) -> IKElement:
     return IKElement(coeffs)
 
 
-@lru_cache(maxsize=None)
 def lift(p: CheckerSurface, m: int) -> GroupAlgebraElement:
     """The degree-m shadow of a basis surface: a scaled class sum of pairs.
 

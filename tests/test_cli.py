@@ -9,13 +9,14 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkersurf import cli, ik, surface
+from checkersurf import cli, convolution, ik, surface
 from checkersurf.cli import main
 from checkersurf.convolution import CosetAlgebraElement, GroupAlgebraElement, coset_decomposition
 from checkersurf.cosets import DoubleCoset, circledast
@@ -874,6 +875,46 @@ def test_concentrate_weighing_charge_counts_every_degree(tmp_path, capsys):
     assert rc == 3 and "degrees 4 to 9 weigh at least 42 partial matchings" in err
     rc, _, _ = invoke(capsys, "concentrate", path, path, "--max-terms", "42", "--quiet")
     assert rc == 0
+
+
+def test_concentrate_weighs_the_degrees_where_every_matching_fits_in_one_step(
+        tmp_path, capsys, monkeypatch):
+    # from n = dp + kq on, matching_count is one constant; its degrees are
+    # charged in closed form, not counted one degree at a time
+    calls = []
+    count = surface._gluing_count
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    for module in (surface, convolution, cli):
+        monkeypatch.setattr(module, "_gluing_count", counted)
+    path = write(tmp_path, "e.json", {"n": 0, "blue": [], "red": [], "yellow": [],
+                                      "alpha": 0, "beta": 0})
+    rc, out, err = invoke(capsys, "concentrate", path, path, "--n-to", "1000000000000")
+    assert rc == 3 and out == ""
+    assert "weigh at least 1000001 partial matchings, over the 1000000 budget" in err
+    dp = kp = kq = 0
+    assert 0 < len(calls) <= (dp + kq + 2) * (min(kp, kq) + 1)
+
+
+def test_weighing_totals_find_the_first_running_total_over_the_limit():
+    # against the running totals of every degree, counted one by one
+    def first_over(totals, limit):
+        return next((t for t in totals if t > limit), None)
+
+    rng = random.Random(62)
+    for _ in range(100):
+        alpha, beta, gamma = (rng.randint(0, 2) for _ in range(3))
+        p = DoubleCoset.from_triple(random_triple(rng, rng.randint(max(alpha, beta), 4)), alpha, beta)
+        q = DoubleCoset.from_triple(random_triple(rng, rng.randint(max(beta, gamma), 4)), beta, gamma)
+        n_from = rng.randint(-2, 9)
+        n_to = n_from + rng.randint(0, 12)
+        every = [convolution.matching_count(p, q, n) for n in range(n_from, n_to + 1)]
+        limit = rng.randint(0, sum(every) + 5)
+        want = first_over(accumulate(every), limit)
+        assert first_over(cli._weighing_totals(p, q, n_from, n_to, limit), limit) == want
 
 
 def test_large_point_of_a_cycle_string_exits_three_exactly_over_the_cap(tmp_path, capsys):

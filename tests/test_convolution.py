@@ -288,15 +288,41 @@ def test_decompositions_canonicalize_each_matching_once(monkeypatch):
         beta = rng.randint(0, 2)
         p = random_coset(rng, rng.randint(0, 2), beta, 5)
         q = random_coset(rng, beta, rng.randint(0, 2), 5)
-        convolution._matching_classes.cache_clear()
-        del calls[:]
         lo = max(p.degree, q.degree)
+        del calls[:]
+        convolution._decompositions(p, q, range(lo, lo + 6))
+        # only the matchings that fit in the largest degree, each once at
+        # the least degree it fits in, and never more than the h-sum's terms
+        assert len(calls) == matching_count(p, q, lo + 5) <= factorial(lo + 5 - beta)
+        assert max(calls, default=0) <= lo + 5
         for n in range(lo, lo + 6):
+            del calls[:]
             coset_decomposition(p, q, n)
-            # only the matchings that fit in degree n, each at the least
-            # degree it fits in, and never more than the h-sum's terms
             assert len(calls) == matching_count(p, q, n) <= factorial(n - beta)
             assert max(calls, default=0) <= n
+
+
+def test_decompositions_of_a_range_are_its_single_decompositions():
+    # the one table weighs each degree as the h-sum does; every element
+    # survives the public constructor's checks and merging unchanged
+    rng = random.Random(36)
+    for _ in range(30):
+        alpha, beta, gamma = (rng.randint(0, 2) for _ in range(3))
+        p = random_coset(rng, alpha, beta, 4)
+        q = random_coset(rng, beta, gamma, 4)
+        lo = max(p.degree, q.degree)
+        degrees = [lo + 2, lo, lo + 4, lo + 1, lo]
+        decomps = convolution._decompositions(p, q, degrees)
+        assert decomps == [coset_decomposition(p, q, n) for n in degrees]
+        for n, decomp in zip(degrees, decomps):
+            assert decomp == CosetAlgebraElement(n, alpha, gamma, dict(decomp._coeffs))
+            assert all(type(c) is Fraction and c > 0 for c in decomp._coeffs.values())
+            if n <= 8 and n - beta <= 7:  # an h-sum of at most 7! terms
+                assert decomp == hsum_oracle(p, q, n)
+    assert convolution._decompositions(p, q, []) == []
+    for degrees in ([lo - 1, lo], [lo, lo - 1, lo - 2]):
+        with pytest.raises(SchemaError, match="degree %d cannot embed" % (lo - 1)):
+            convolution._decompositions(p, q, degrees)
 
 
 def test_unmatched_piece_is_the_coset_product():

@@ -7,9 +7,10 @@ from the bootstrap identities that force them.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from oracles import glue_oracle, lift_oracle, project_fold_oracle, reduced_centralizer_order
@@ -218,6 +219,22 @@ def test_lift_matches_the_full_conjugation_oracle():
             # orbit-stabilizer: class size times the centralizer at m
             centralizer = reduced_centralizer_order(p) * factorial(m - k + f)
             assert el.support_size() * centralizer == factorial(m)
+
+
+def test_lift_keeps_nothing_once_its_result_is_dropped():
+    # 100 lifts of degree-5 surfaces at m = 6, classes of up to 720 pairs
+    # each: none may outlive the caller's reference to it
+    rng = random.Random(87)
+    surfaces = [checker_surface(random_triple(rng, 5)) for _ in range(100)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p in surfaces:
+            assert lift(p, 6).mass() == perm(6, 5)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * 2**20
 
 
 def test_lift_below_surface_degree_is_rejected():
