@@ -234,15 +234,18 @@ def _tsv_text(rows) -> str:
 def _emit(text: str, args) -> None:
     if args.output:
         target = os.path.abspath(args.output)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-emit-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-emit-")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                os.replace(tmp, target)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:  # the path changed since main checked it, or the write failed
+            raise SchemaError("cannot write %s: %s" % (args.output, exc.strerror or exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -697,6 +700,10 @@ def main(argv=None) -> int:
             "%s prints only --format %s" % (args.command, " or ".join(args.formats))
         )
     try:
+        # an --output path that is a directory, or whose parent is not one, fails before any work
+        target = args.output and os.path.abspath(args.output)
+        if target and (os.path.isdir(target) or not os.path.isdir(os.path.dirname(target))):
+            raise SchemaError("cannot write %s: not a file in an existing directory" % args.output)
         args.func(args)
     except SchemaError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -16,18 +16,17 @@ so phi carries the weight
 
     (n - dp)_(kq - m) / (n - beta)_(kq),       (x)_k the falling factorial,
 
-which vanishes below n_min = dp + kq - m. The class of phi is the gluing
-that surface._glued makes of q's labeled blacks and phi's m pairs, the
+which vanishes below n_min = dp + kq - m. surface._glued(q, p, beta, m)
+yields the gluing of q's labeled blacks and the m pairs of each phi, the
 labels glued as in cosets.concat_geometric, so for m = 0 it is p
 circledast q; canonicalized at its degree n_min with unlabeled double
-triangles stripped, it is phi's class at every n >= n_min. With phi from
-surface._gluings, one coset product up to degree n costs the sum over
-m >= dp + kq - n of C(kp, m) C(kq, m) m! canonicalizations for all
-degrees together, not (n - beta)! at each degree; every such phi is
-induced by some h, so the sum never exceeds (n - beta)!. _decompositions
-counts the classes of every m once into one table, class -> [(m, count)],
-and weighs each degree of a range from it in integers; nothing is cached
-between calls.
+triangles stripped, it is phi's class at every n >= n_min. So one coset
+product up to degree n costs the sum over m >= dp + kq - n of
+C(kp, m) C(kq, m) m! canonicalizations for all degrees together, not
+(n - beta)! at each degree; every such phi is induced by some h, so the
+sum never exceeds (n - beta)!. _decompositions counts the classes of
+every m once into one table, class -> [(m, count)], and weighs each
+degree of a range from it in integers; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from checkersurf import kernel
 from checkersurf.errors import SchemaError
 from checkersurf.cosets import DoubleCoset, _check_pair, circledast
 from checkersurf.perm import _Immutable, _pad
-from checkersurf.surface import LabeledSurface, Triple, _glued, _gluing_count, _gluings
+from checkersurf.surface import LabeledSurface, Triple, _glued, _gluing_count
 
 __all__ = [
     "GroupAlgebraElement",
@@ -289,8 +288,8 @@ def _matching_classes(p: DoubleCoset, q: DoubleCoset, m: int) -> Tuple[Tuple[Dou
     P, Q = p.surface, q.surface
     alpha, gamma = p.alpha, q.beta
     counts: Dict[tuple, int] = {}
-    for dom, img in _gluings(Q, P, p.beta, m):
-        code = kernel.canonical_code(*_glued(Q, P, dom, img), alpha, gamma, True)
+    for glued in _glued(Q, P, p.beta, m):
+        code = kernel.canonical_code(*glued, alpha, gamma, True)
         counts[code] = counts.get(code, 0) + 1
     return tuple(
         (DoubleCoset(LabeledSurface(alpha, gamma, *code)), cnt) for code, cnt in counts.items()

@@ -11,7 +11,8 @@ product has two independent realizations kept in agreement by tests:
 * concat_geometric: remove the beta labeled white triangles of the left
   factor and the beta labeled black triangles of the right factor, glue
   the freed boundaries color to color, and canonicalize the resulting
-  cell complex. The cut and reglue is surface._glued, which serves three
+  cell complex. The cut and reglue is the one gluing that
+  surface._glued(Q, P, beta, 0) yields; that enumerator serves three
   products: this one, each class of the coset decomposition
   (checkersurf.convolution) and the gluing product of the surface
   algebra (checkersurf.ik).
@@ -39,14 +40,9 @@ __all__ = [
 ]
 
 
-def _theta_images(j: int, beta: int, n: int | None = None) -> Tuple[int, ...]:
-    """0-based images on range(n), n defaulting to beta + 2j."""
-    size = beta + 2 * j
-    if n is None:
-        n = size
-    if n < size:
-        raise ValueError("ambient %d below beta + 2j = %d" % (n, size))
-    th = list(range(n))
+def _theta_images(j: int, beta: int) -> Tuple[int, ...]:
+    """0-based images on range(beta + 2j)."""
+    th = list(range(beta + 2 * j))
     for i in range(j):
         th[beta + i] = beta + j + i
         th[beta + j + i] = beta + i
@@ -133,7 +129,7 @@ def _shift_product(tp: Triple, tq: Triple, alpha: int, beta: int, gamma: int, j:
     n = beta + 2 * j
     if n < tp.n or n < tq.n:
         raise ValueError("shift j=%d too small for degrees %d, %d" % (j, tp.n, tq.n))
-    th = _theta_images(j, beta, n)
+    th = _theta_images(j, beta)
     out = []
     for pa, qa in ((tp._b, tq._b), (tp._r, tq._r), (tp._y, tq._y)):
         pa = _pad(pa, n)
@@ -174,15 +170,14 @@ def concat_geometric(P: LabeledSurface, Q: LabeledSurface) -> LabeledSurface:
     """Geometric realization of the product over explicit cells.
 
     Remove Q's beta labeled black triangles and P's beta labeled white
-    triangles and glue Q's black j to P's white j: surface._glued(Q, P,
-    range(beta), range(beta)). Its numbering puts Q's whites first and
-    P's blacks first, so Q's gamma white labels and P's alpha black
+    triangles and glue Q's black j to P's white j: the one gluing of
+    surface._glued(Q, P, beta, 0). Its numbering puts Q's whites first
+    and P's blacks first, so Q's gamma white labels and P's alpha black
     labels keep their slots, and the result is canonicalized with them.
     """
     _check_pair(P, Q)
-    labeled = range(P.beta)
-    glued = Triple._from_zero_based(*_glued(Q, P, labeled, labeled))
-    return canonical_form(glued, P.alpha, Q.beta)
+    (glued,) = _glued(Q, P, P.beta, 0)
+    return canonical_form(Triple._from_zero_based(*glued), P.alpha, Q.beta)
 
 
 def star(p: DoubleCoset) -> DoubleCoset:

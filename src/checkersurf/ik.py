@@ -5,9 +5,9 @@ The product sums over partial bijections from the black triangles of the
 left factor to the white triangles of the right factor; each bijection
 glues the matched triangle pairs away and the result is canonicalized.
 Structure constants count bijections, so they are nonnegative integers.
-surface._gluings lists the bijections and surface._glued, which all three
-gluing products share (checkersurf.cosets, checkersurf.convolution), cuts
-and reglues; the label-free canonical form forgets _glued's numbering.
+surface._glued, which all three gluing products share (checkersurf.cosets,
+checkersurf.convolution), cuts and reglues each bijection; _glue's
+label-free canonical form of one forgets _glued's numbering.
 
 Projections to pair algebras: a surface of degree k lifts at degree
 m >= k to a multiple of a conjugacy-class sum in the group algebra of
@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import perm
-from typing import Dict, Tuple
+from typing import Dict, List
 
 from checkersurf import kernel
 from checkersurf.convolution import GroupAlgebraElement, SparseCombination
@@ -41,7 +41,6 @@ from checkersurf.surface import (
     CheckerSurface,
     Triple,
     _glued,
-    _gluings,
     checker_surface,
     disjoint_union,
 )
@@ -94,10 +93,10 @@ class IKElement(SparseCombination):
         return "IKElement(%d terms, max degree %d)" % (len(self._coeffs), self.max_degree())
 
 
-def _glue(p: CheckerSurface, q: CheckerSurface, dom: Tuple[int, ...], img: Tuple[int, ...]) -> CheckerSurface:
-    """One gluing: surface._glued, canonicalized label-free, which does
-    not depend on the numbering _glued fixes."""
-    return CheckerSurface(*kernel.canonical_code(*_glued(p, q, dom, img), 0, 0, False))
+def _glue(n: int, b: List[int], r: List[int], y: List[int]) -> CheckerSurface:
+    """One glued triple of surface._glued, canonicalized label-free, which
+    does not depend on the numbering _glued fixes."""
+    return CheckerSurface(*kernel.canonical_code(n, b, r, y, 0, 0, False))
 
 
 def ik_product(p, q) -> IKElement:
@@ -111,8 +110,8 @@ def ik_product(p, q) -> IKElement:
     q = _as_surface(q)
     coeffs: Dict[CheckerSurface, int] = {}
     for k in range(min(p.n, q.n) + 1):
-        for dom, img in _gluings(p, q, 0, k):
-            r = _glue(p, q, dom, img)
+        for glued in _glued(p, q, 0, k):
+            r = _glue(*glued)
             coeffs[r] = coeffs.get(r, 0) + 1
     return IKElement(coeffs)
 
@@ -178,8 +177,8 @@ def poisson_bracket(p, q) -> IKElement:
     q = _as_surface(q)
     coeffs: Dict[CheckerSurface, int] = {}
     for left, right, sign in ((p, q, 1), (q, p, -1)):
-        for dom, img in _gluings(left, right, 0, 1):
-            r = _glue(left, right, dom, img)
+        for glued in _glued(left, right, 0, 1):
+            r = _glue(*glued)
             coeffs[r] = coeffs.get(r, 0) + sign
     return IKElement(coeffs)
 

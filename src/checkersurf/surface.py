@@ -5,8 +5,8 @@ A closed oriented surface glued from n white and n black triangles with
 triangle j meets black triangle p^c(j) along its color-c edge. This module
 holds the dictionary in both directions, the component / vertex / Euler
 analytics, the two canonical-form types on one array base with Triple,
-the partial gluings and the cut and reglue of all three gluing products,
-and the dessin export.
+_glued, the one enumerator that cuts and reglues every partial gluing of
+all three gluing products, and the dessin export.
 
 The analytics take one pass: the vertices are the cycles of the three
 gluing words, and each component's chi is its vertex count minus its size,
@@ -621,59 +621,51 @@ def disjoint_union(t1: Triple, t2: Triple) -> Triple:
     return Triple._from_zero_based(n1 + t2.n, b, r, y)
 
 
-def _glued(p, q, dom: Sequence[int], img: Sequence[int]) -> Tuple[int, List[int], List[int], List[int]]:
-    """Cut and reglue: remove p's blacks dom and q's whites img, glue black
-    dom[i] to white img[i] color to color, and route each edge of p into a
-    removed black through to the matched white's neighbor in q.
+def _glued(p, q, fixed: int, k: int) -> Iterator[Tuple[int, List[int], List[int], List[int]]]:
+    """Cut and reglue each partial bijection of p's blacks dom to q's
+    whites img that glues range(fixed) to range(fixed), then k blacks from
+    [fixed, p.n) to k whites from [fixed, q.n); dom in combinations order
+    and, under each, img in permutations order. Each removes dom and img,
+    glues black dom[i] to white img[i] color to color, and routes each
+    edge of p into a removed black through to the matched white's
+    neighbor in q.
 
-    p and q are anything with n and 0-based _b, _r, _y tuples. Returns the
+    p and q are anything with n and 0-based _b, _r, _y tuples. Yields the
     degree and the 0-based blue, red and yellow arrays, numbered with p's
     whites first, then q's unmatched whites in order, and q's blacks
     first, then p's unmatched blacks in order.
 
-    >>> _glued(Triple("()", "()", "()", n=1), Triple("(1 2)", "()", "()"), (0,), (0,))
-    (2, [1, 0], [0, 1], [0, 1])
+    >>> list(_glued(Triple("()", "()", "()", n=1), Triple("(1 2)", "()", "()"), 1, 0))
+    [(2, [1, 0], [0, 1], [0, 1])]
     """
     m, n = p.n, q.n
-    kept, free = [1] * m, [1] * n  # p's blacks and q's whites left unmatched
-    for t, w in zip(dom, img):
-        kept[t] = free[w] = 0
-    # h[t]: q's white that an edge of p into black t reaches; if t is kept,
-    # n plus the kept blacks before t, which ext maps to t's new number
-    h = list(accumulate(kept, initial=n))
-    for t, w in zip(dom, img):
-        h[t] = w
-    tail = tuple(range(n, n + m - len(dom)))
-    cols = []
-    for pc, qc in ((p._b, q._b), (p._r, q._r), (p._y, q._y)):
-        ext = qc + tail
-        cols.append([ext[h[t]] for t in pc])
-        cols[-1] += compress(qc, free)
-    return m + n - len(dom), cols[0], cols[1], cols[2]
-
-
-def _gluings(p, q, fixed: int, k: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """The (dom, img) arguments of _glued for each partial bijection that
-    glues p's blacks range(fixed) to q's whites range(fixed), then k more
-    of p's blacks from [fixed, p.n) to k of q's whites from [fixed, q.n).
-
-    >>> t = Triple("()", "()", "()", n=3)
-    >>> list(_gluings(t, t, 1, 1))
-    [((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 2), (0, 1)), ((0, 2), (0, 2))]
-    """
     head = tuple(range(fixed))
-    for dom in combinations(range(fixed, p.n), k):
+    tail = tuple(range(n, n + m - fixed - k))
+    columns = [(pc, qc, qc + tail) for pc, qc in ((p._b, q._b), (p._r, q._r), (p._y, q._y))]
+    for dom in combinations(range(fixed, m), k):
         dom = head + dom
-        for img in permutations(range(fixed, q.n), k):
-            yield dom, head + img
+        kept = [1] * m  # p's blacks left unmatched
+        for t in dom:
+            kept[t] = 0
+        # h[t]: q's white that an edge of p into black t reaches; if t is kept,
+        # n plus the kept blacks before t, which ext maps to t's new number
+        h = list(accumulate(kept, initial=n))
+        for img in permutations(range(fixed, n), k):
+            img = head + img
+            free = [1] * n  # q's whites left unmatched
+            for t, w in zip(dom, img):
+                h[t] = w
+                free[w] = 0
+            b, r, y = [[ext[h[t]] for t in pc] + list(compress(qc, free)) for pc, qc, ext in columns]
+            yield m + n - fixed - k, b, r, y
 
 
 def _gluing_count(p, q, fixed: int, k: int) -> int:
-    """How many gluings _gluings(p, q, fixed, k) yields, without making
-    them: C(p.n - fixed, k) (q.n - fixed)_k.
+    """The length of _glued(p, q, fixed, k), without making its gluings:
+    C(p.n - fixed, k) (q.n - fixed)_k.
 
     >>> t, u = Triple("()", "()", "()", n=3), Triple("()", "()", "()", n=4)
-    >>> _gluing_count(t, u, 1, 2) == len(list(_gluings(t, u, 1, 2))) == 6
+    >>> _gluing_count(t, u, 1, 2) == len(list(_glued(t, u, 1, 2))) == 6
     True
     """
     return comb(p.n - fixed, k) * perm(q.n - fixed, k)

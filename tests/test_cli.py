@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, exit codes, budgets."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -20,6 +21,7 @@ from checkersurf import cli, convolution, ik, surface
 from checkersurf.cli import main
 from checkersurf.convolution import CosetAlgebraElement, GroupAlgebraElement, coset_decomposition
 from checkersurf.cosets import DoubleCoset, circledast
+from checkersurf.errors import SchemaError
 from checkersurf.ik import IKElement, ik_product, project
 from checkersurf.spherical import Tensor3
 from checkersurf.surface import (
@@ -385,7 +387,7 @@ def test_poisson_refuses_huge_gluing_count_promptly(tmp_path):
     assert "at least 2000000 gluings, over the 1000000 budget" in proc.stderr
 
 
-def test_gluing_charges_are_the_gluings_that_run(tmp_path, capsys, monkeypatch):
+def test_gluing_charges_equal_the_glue_calls(tmp_path, capsys, monkeypatch):
     # the last running total that ik-product and poisson charge is the
     # number of ik._glue calls that follow, and the sum of _gluing_count
     # over the pieces each enumerates
@@ -526,6 +528,36 @@ def test_output_file_write(tmp_path, capsys):
     rc, out, _ = invoke(capsys, "canon", path, "--output", str(target), "--quiet")
     assert rc == 0 and out == ""
     assert json.loads(target.read_text())["n"] == 2
+
+
+def files_under(root):
+    return sorted(os.path.join(d, f) for d, _, names in os.walk(root) for f in names)
+
+
+@pytest.mark.parametrize("target", ["missing/result.json", "out"])
+def test_unwritable_output_exits_two_before_any_work(tmp_path, capsys, monkeypatch, target):
+    # a missing parent directory, or a directory as the target, is refused
+    # before the subcommand runs, and nothing is left behind
+    path = write(tmp_path, "t.json", TRANSPOSITION)
+    (tmp_path / "out").mkdir()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_canon", ran.append)
+    before = files_under(tmp_path)
+    rc, out, err = invoke(capsys, "canon", path, "--output", str(tmp_path / target))
+    assert rc == 2 and out == "" and ran == []
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("target", ["missing/result.json", "out"])
+def test_output_write_failure_is_bad_usage_and_leaves_no_temporary(tmp_path, target):
+    # should the path change after main checked it, mkstemp into a missing
+    # directory and the replace onto a directory fail as bad usage (exit
+    # 2), not as internal errors
+    (tmp_path / "out").mkdir()
+    with pytest.raises(SchemaError, match="^cannot write .*%s: " % target):
+        cli._emit("{}\n", argparse.Namespace(output=str(tmp_path / target)))
+    assert files_under(tmp_path) == []
 
 
 def test_missing_and_malformed_inputs_exit_two(tmp_path, capsys):

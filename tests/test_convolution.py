@@ -417,3 +417,29 @@ def test_json_round_trip_of_decomposition():
         assert DoubleCoset.from_json(term["surface"]).alpha == 0
         total += frac
     assert total == 1
+
+
+def times(x, y, n):
+    """(sum x_r delta_r) * (sum y_s delta_s) at degree n, expanded
+    bilinearly through coset_decomposition; x and y map cosets to weights."""
+    out = {}
+    for r, a in x.items():
+        for s, b in y.items():
+            for t, c in coset_decomposition(r, s, n).items():
+                out[t] = out.get(t, 0) + a * b * c
+    return out
+
+
+def test_coset_products_are_associative_with_units_above_the_hsum_reach():
+    # degrees 9 and 10, where the h-sum oracle (n <= 8) cannot check the
+    # weights: (dp * dq) * ds = dp * (dq * ds), and d_id * dp = dp = dp * d_id
+    rng = random.Random(37)
+    for case in range(60):
+        n = 9 + case % 2
+        alpha, beta, gamma, delta = (rng.randint(0, 2) for _ in range(4))
+        p = {random_coset(rng, alpha, beta, 4): 1}
+        q = {random_coset(rng, beta, gamma, 4): 1}
+        s = {random_coset(rng, gamma, delta, 4): 1}
+        assert times(times(p, q, n), s, n) == times(p, times(q, s, n), n)
+        assert times({DoubleCoset.identity(alpha): 1}, p, n) == p
+        assert times(p, {DoubleCoset.identity(beta): 1}, n) == p

@@ -26,7 +26,7 @@ from checkersurf.ik import (
     poisson_bracket,
     project,
 )
-from checkersurf.surface import Triple, checker_surface, random_triple
+from checkersurf.surface import Triple, _glued, checker_surface, random_triple
 
 EMPTY = checker_surface(Triple("()", "()", "()"))
 DT = checker_surface(Triple("()", "()", "()", n=1))
@@ -195,16 +195,20 @@ def seeded_surfaces(count):
 
 
 def test_glue_matches_the_loop_oracle_on_every_partial_bijection():
+    # _glued yields the gluings with dom in combinations order and, under
+    # each, img in permutations order, and then ends
     rng = random.Random(86)
     gluings = 0
     for i in range(60):
         p = checker_surface(random_triple(rng, 4 - i % 5))
         q = checker_surface(random_triple(rng, rng.randint(2, 4)))
         for k in range(min(p.n, q.n) + 1):
+            glued = _glued(p, q, 0, k)
             for dom in combinations(range(p.n), k):
                 for img in permutations(range(q.n), k):
-                    assert _glue(p, q, dom, img) == glue_oracle(p, q, dom, img)
+                    assert _glue(*next(glued)) == glue_oracle(p, q, dom, img)
                     gluings += 1
+            assert next(glued, None) is None
     assert gluings >= 1500
 
 

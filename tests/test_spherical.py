@@ -19,6 +19,7 @@ from checkersurf.spherical import Tensor3, spherical_assignment_sum, spherical_o
 from checkersurf.surface import (
     Triple,
     checker_surface,
+    components,
     disjoint_union,
     random_triple,
     reverse,
@@ -279,3 +280,68 @@ def test_oracle_drops_axes_of_dimension_one():
     xi = Tensor3.random_unit(rng, (1, 1, 1))
     assert abs(spherical_oracle(t, xi) - 1) < 1e-12
     assert abs(spherical_assignment_sum(t, xi) - 1) < 1e-12
+
+
+# Identities that hold at every degree and read nothing of the contraction
+# plan; they check the contraction at n = 10-40, past the dense oracle's
+# reach of n = 7 at 2 x 2 x 2.
+
+
+def scaling_surfaces(rng, count):
+    """Triples of degree 10-40, every third a disjoint union of two, and
+    so is every one above degree 28, whose plan could cost a second."""
+    out = []
+    for i in range(count):
+        n = rng.randint(10, 40)
+        if i % 3 == 0 or n > 28:
+            split = rng.randint(max(1, n - 28), min(28, n - 1))
+            out.append(disjoint_union(random_triple(rng, split), random_triple(rng, n - split)))
+        else:
+            out.append(random_triple(rng, n))
+    return out
+
+
+def complex_gaussians(rng, count):
+    return [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(count)]
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(np.array(complex_gaussians(rng, d * d)).reshape(d, d))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+def test_closed_form_at_a_diagonal_tensor():
+    # xi = sum_i l_i e_i (x) e_i (x) e_i puts one index on every edge of a
+    # component c, so the value is the product over c of sum_i |l_i|^(2|c|)
+    rng = random.Random(58)
+    for t in scaling_surfaces(rng, 30):
+        d = 3 if t.n <= 16 else 2  # three indices reach the budget by n = 28
+        lams = np.array(complex_gaussians(rng, d))
+        lams /= np.linalg.norm(lams)
+        entries = np.zeros((d, d, d), dtype=complex)
+        entries[range(d), range(d), range(d)] = lams
+        expected = np.prod([(abs(lams) ** (2 * len(c))).sum() for c in components(t)])
+        assert close(spherical_assignment_sum(t, Tensor3(entries)), expected)
+
+
+def test_value_at_a_tensor_product_is_the_product_of_values():
+    rng = random.Random(59)
+    for t in scaling_surfaces(rng, 20):
+        xi = Tensor3.random_unit(rng, (2, 2, 2))
+        eta = Tensor3.random_unit(rng, (1, 1, 2))
+        both = np.einsum("ijk,abc->iajbkc", xi.entries, eta.entries).reshape(2, 2, 4)
+        lhs = spherical_assignment_sum(t, Tensor3(both))
+        assert close(lhs, spherical_assignment_sum(t, xi) * spherical_assignment_sum(t, eta))
+
+
+def test_value_is_invariant_under_local_unitaries():
+    rng = random.Random(60)
+    for t in scaling_surfaces(rng, 20):
+        xi = Tensor3.random_unit(rng, (2, 2, 2))
+        u, v, w = (random_unitary(rng, 2) for _ in range(3))
+        moved = np.einsum("ai,bj,ck,ijk->abc", u, v, w, xi.entries)
+        assert close(spherical_assignment_sum(t, Tensor3(moved)), spherical_assignment_sum(t, xi))
