@@ -17,9 +17,14 @@ canonicalizes each matching once and weighs every degree from the one
 table of classes. An input triple's degree and random's --n are refused
 over their limit, also exit 3.
 
-Each call parses once, with the invoked subcommand's parser alone, whose
-usage line names every subcommand; the full parser is built only for
-help, an empty argv and an unknown command. Nothing is cached.
+A subcommand's whole contract is its row of SUBCOMMANDS: name, aliases,
+help line, the command main runs, the formats it prints and its own
+arguments. build_parser makes the argparse parser from the rows and the
+options every subcommand shares, and main dispatches through the row of
+the name it parsed. Each call parses once, with the invoked subcommand's
+parser alone, whose usage line names every subcommand; the full parser is
+built only for help, an empty argv and an unknown command. Nothing is
+cached.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import argparse
 import json
 import os
 import random
+import stat
 import sys
 import tempfile
 from itertools import accumulate, permutations
@@ -235,9 +241,18 @@ def _emit(text: str, args) -> None:
     if args.output:
         target = os.path.abspath(args.output)
         try:
+            # mkstemp makes the file 0600: an overwritten file keeps its
+            # mode, and a new one gets the mode open() would give it
+            try:
+                mode = stat.S_IMODE(os.stat(target).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-emit-")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    os.fchmod(fh.fileno(), mode)
                     fh.write(text)
                 os.replace(tmp, target)
             except BaseException:
@@ -550,116 +565,91 @@ def cmd_random(args) -> None:
         _emit(_json_text(t.to_json()), args)
 
 
-def _canon_arguments(p) -> None:
-    p.add_argument("input", help="triple JSON file")
-    p.add_argument("--alpha", type=int, default=0, help="black labels")
-    p.add_argument("--beta", type=int, default=0, help="white labels")
-    p.set_defaults(func=cmd_canon, formats=("json", "tsv", "dot"))
+def _max_terms(help_text: str) -> tuple:
+    """The --max-terms argument, its help text ending in its default."""
+    return ("--max-terms", {"type": int, "default": DEFAULT_MAX_TERMS,
+                            "help": help_text + " (default %d)" % DEFAULT_MAX_TERMS})
 
 
-def _product_arguments(p) -> None:
-    p.add_argument("left", help="triple JSON of the left factor")
-    p.add_argument("right", help="triple JSON of the right factor")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--gamma", type=int, required=True)
-    p.set_defaults(func=cmd_product, formats=("json", "tsv", "dot"))
+_TRIPLE_FILE = {"help": "triple JSON file"}
+_COSET_FILE = {"help": "coset JSON (triple plus alpha, beta)"}
 
-
-def _concentrate_arguments(p) -> None:
-    p.add_argument("left", help="coset JSON (triple plus alpha, beta)")
-    p.add_argument("right", help="coset JSON (triple plus alpha, beta)")
-    p.add_argument("--n-from", type=int, default=4, dest="n_from")
-    p.add_argument("--n-to", type=int, default=9, dest="n_to")
-    p.add_argument(
-        "--max-terms",
-        type=int,
-        default=DEFAULT_MAX_TERMS,
-        help="largest permitted number of partial matchings to canonicalize "
-        "up to --n-to, and of matchings to weigh summed over the degrees "
-        "--n-from to --n-to; separately, the largest degree an input may "
-        "ask for (default %d)" % DEFAULT_MAX_TERMS,
-    )
-    p.set_defaults(func=cmd_concentrate, formats=("json", "tsv"))
-
-
-def _spherical_arguments(p) -> None:
-    p.add_argument("surface", help="triple JSON file")
-    p.add_argument("xi", help="unit tensor JSON file")
-    p.add_argument(
-        "--max-assignments",
-        type=int,
-        default=DEFAULT_MAX_ASSIGNMENTS,
-        help="largest permitted number of multiply-adds of the planned "
-        "contraction; also caps the input's degree (default %d)" % DEFAULT_MAX_ASSIGNMENTS,
-    )
-    p.set_defaults(func=cmd_spherical, formats=("json", "tsv"))
-
-
-def _ik_product_arguments(p) -> None:
-    p.add_argument("left", help="triple JSON file")
-    p.add_argument("right", help="triple JSON file")
-    p.set_defaults(func=cmd_ik_product, formats=("json", "tsv"))
-
-
-def _ik_project_arguments(p) -> None:
-    p.add_argument("input", help="element JSON file")
-    p.add_argument("--n", type=int, required=True, help="target degree")
-    p.add_argument(
-        "--max-terms",
-        type=int,
-        default=DEFAULT_MAX_TERMS,
-        help="largest permitted enumeration, charged n! per distinct surface "
-        "of degree at most --n (an upper bound on the injections of its moved "
-        "points that its lift enumerates); separately, the largest degree an "
-        "input surface may ask for (default %d)" % DEFAULT_MAX_TERMS,
-    )
-    p.set_defaults(func=cmd_ik_project, formats=("json", "tsv"))
-
-
-def _poisson_arguments(p) -> None:
-    p.add_argument("left", help="triple JSON file")
-    p.add_argument("right", help="triple JSON file")
-    p.set_defaults(func=cmd_poisson, formats=("json", "tsv"))
-
-
-def _dessin_arguments(p) -> None:
-    p.add_argument("input", help="triple JSON file")
-    p.set_defaults(func=cmd_dessin, formats=("dot", "json"))
-
-
-def _census_arguments(p) -> None:
-    p.add_argument("--n", type=int, required=True, help="largest degree")
-    p.add_argument(
-        "--max-terms",
-        type=int,
-        default=DEFAULT_MAX_TERMS,
-        help="largest permitted enumeration (default %d)" % DEFAULT_MAX_TERMS,
-    )
-    p.set_defaults(func=cmd_census, formats=("json", "tsv"))
-
-
-def _random_arguments(p) -> None:
-    p.add_argument("--n", type=int, required=True, help="degree")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.set_defaults(func=cmd_random, formats=("json", "tsv"))
-
-
-# name, aliases, help line, and the function that adds the subcommand's
-# own arguments; formats lists what the subcommand prints, its default first
-SUBCOMMANDS = (
-    ("canon", (), "canonical form of a labeled surface", _canon_arguments),
-    ("product", ("coset-product",), "coset product via both code paths", _product_arguments),
-    ("concentrate", (), "concentration series and decompositions", _concentrate_arguments),
-    ("spherical", (), "spherical value by both paths", _spherical_arguments),
-    ("ik-product", (), "gluing product in the surface algebra", _ik_product_arguments),
-    ("ik-project", (), "projection to a pair group algebra", _ik_project_arguments),
-    ("poisson", (), "Poisson bracket of two surfaces", _poisson_arguments),
-    ("dessin", (), "bipartite graph of the blue edges", _dessin_arguments),
-    ("census", (), "pair classes by degree with statistics", _census_arguments),
-    ("random", (), "seeded uniform random triple", _random_arguments),
+# every subcommand's options, added first
+_COMMON = (
+    ("--format", {
+        "choices": ("json", "tsv", "dot"),
+        "default": None,
+        "help": "output format; each subcommand prints some of these and refuses "
+        "the rest (default json; dot for dessin)",
+    }),
+    ("--quiet", {"action": "store_true", "help": "suppress status notes"}),
+    ("--output", {"help": "write the result to this file atomically"}),
 )
-_BY_NAME = {name: entry for entry in SUBCOMMANDS for name in (entry[0],) + entry[1]}
+
+# A subcommand's whole contract, one row each: name, aliases, help line,
+# the command main runs, the formats it prints (its default first), and
+# its own arguments as (flag, add_argument keywords) pairs in order.
+SUBCOMMANDS = (
+    ("canon", (), "canonical form of a labeled surface", cmd_canon, ("json", "tsv", "dot"), (
+        ("input", _TRIPLE_FILE),
+        ("--alpha", {"type": int, "default": 0, "help": "black labels"}),
+        ("--beta", {"type": int, "default": 0, "help": "white labels"}),
+    )),
+    ("product", ("coset-product",), "coset product via both code paths", cmd_product,
+     ("json", "tsv", "dot"), (
+        ("left", {"help": "triple JSON of the left factor"}),
+        ("right", {"help": "triple JSON of the right factor"}),
+        ("--alpha", {"type": int, "required": True}),
+        ("--beta", {"type": int, "required": True}),
+        ("--gamma", {"type": int, "required": True}),
+    )),
+    ("concentrate", (), "concentration series and decompositions", cmd_concentrate,
+     ("json", "tsv"), (
+        ("left", _COSET_FILE),
+        ("right", _COSET_FILE),
+        ("--n-from", {"type": int, "default": 4, "dest": "n_from"}),
+        ("--n-to", {"type": int, "default": 9, "dest": "n_to"}),
+        _max_terms(
+            "largest permitted number of partial matchings to canonicalize "
+            "up to --n-to, and of matchings to weigh summed over the degrees "
+            "--n-from to --n-to; separately, the largest degree an input may "
+            "ask for"),
+    )),
+    ("spherical", (), "spherical value by both paths", cmd_spherical, ("json", "tsv"), (
+        ("surface", _TRIPLE_FILE),
+        ("xi", {"help": "unit tensor JSON file"}),
+        ("--max-assignments", {
+            "type": int,
+            "default": DEFAULT_MAX_ASSIGNMENTS,
+            "help": "largest permitted number of multiply-adds of the planned "
+            "contraction; also caps the input's degree (default %d)" % DEFAULT_MAX_ASSIGNMENTS,
+        }),
+    )),
+    ("ik-product", (), "gluing product in the surface algebra", cmd_ik_product,
+     ("json", "tsv"), (("left", _TRIPLE_FILE), ("right", _TRIPLE_FILE))),
+    ("ik-project", (), "projection to a pair group algebra", cmd_ik_project, ("json", "tsv"), (
+        ("input", {"help": "element JSON file"}),
+        ("--n", {"type": int, "required": True, "help": "target degree"}),
+        _max_terms(
+            "largest permitted enumeration, charged n! per distinct surface "
+            "of degree at most --n (an upper bound on the injections of its moved "
+            "points that its lift enumerates); separately, the largest degree an "
+            "input surface may ask for"),
+    )),
+    ("poisson", (), "Poisson bracket of two surfaces", cmd_poisson, ("json", "tsv"),
+     (("left", _TRIPLE_FILE), ("right", _TRIPLE_FILE))),
+    ("dessin", (), "bipartite graph of the blue edges", cmd_dessin, ("dot", "json"),
+     (("input", _TRIPLE_FILE),)),
+    ("census", (), "pair classes by degree with statistics", cmd_census, ("json", "tsv"), (
+        ("--n", {"type": int, "required": True, "help": "largest degree"}),
+        _max_terms("largest permitted enumeration"),
+    )),
+    ("random", (), "seeded uniform random triple", cmd_random, ("json", "tsv"), (
+        ("--n", {"type": int, "required": True, "help": "degree"}),
+        ("--seed", {"type": int, "default": 0, "help": "random seed (default 0)"}),
+    )),
+)
+_BY_NAME = {name: row for row in SUBCOMMANDS for name in (row[0],) + row[1]}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -672,20 +662,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # one subcommand's usage line names them all, so its errors read as the full parser's
     names = None if command is None else "{%s}" % ",".join(_BY_NAME)
     sub = parser.add_subparsers(dest="command", required=True, metavar=names)
-    for name, aliases, help_line, add_arguments in (
+    for name, aliases, help_line, _, _, arguments in (
         SUBCOMMANDS if command is None else (_BY_NAME[command],)
     ):
         p = sub.add_parser(name, aliases=aliases, help=help_line)
-        p.add_argument(
-            "--format",
-            choices=("json", "tsv", "dot"),
-            default=None,
-            help="output format; each subcommand prints some of these and refuses "
-            "the rest (default json; dot for dessin)",
-        )
-        p.add_argument("--quiet", action="store_true", help="suppress status notes")
-        p.add_argument("--output", help="write the result to this file atomically")
-        add_arguments(p)
+        for flag, keywords in _COMMON + arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -694,17 +676,16 @@ def main(argv=None) -> int:
     # help, an empty argv and an unknown command need every subcommand
     parser = build_parser(argv[0] if argv and argv[0] in _BY_NAME else None)
     args = parser.parse_args(argv)
-    args.format = args.format or args.formats[0]
-    if args.format not in args.formats:
-        parser.error(
-            "%s prints only --format %s" % (args.command, " or ".join(args.formats))
-        )
+    command, formats = _BY_NAME[args.command][3:5]
+    args.format = args.format or formats[0]
+    if args.format not in formats:
+        parser.error("%s prints only --format %s" % (args.command, " or ".join(formats)))
     try:
         # an --output path that is a directory, or whose parent is not one, fails before any work
         target = args.output and os.path.abspath(args.output)
         if target and (os.path.isdir(target) or not os.path.isdir(os.path.dirname(target))):
             raise SchemaError("cannot write %s: not a file in an existing directory" % args.output)
-        args.func(args)
+        command(args)
     except SchemaError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_SCHEMA

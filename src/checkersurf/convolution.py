@@ -59,7 +59,7 @@ class SparseCombination(_Immutable):
     A subclass names its fixed parameters in _params and a term's key
     field in _field, and gives _sort_key, _key_from_json and _check_key.
     Integral values stay int outside the public constructor, which checks
-    and merges.
+    each key, makes each value a Fraction and drops zeros.
     """
 
     __slots__ = ("_coeffs",)
@@ -76,9 +76,7 @@ class SparseCombination(_Immutable):
             self._check_key(key)
             val = Fraction(val)
             if val != 0:
-                clean[key] = clean.get(key, Fraction(0)) + val
-                if clean[key] == 0:
-                    del clean[key]
+                clean[key] = val
         object.__setattr__(self, "_coeffs", clean)
 
     @classmethod

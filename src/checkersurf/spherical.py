@@ -47,7 +47,7 @@ UNIT_NORM_TOLERANCE = 1e-12
 
 DEFAULT_MAX_ASSIGNMENTS = 10**8
 
-DEFAULT_MAX_ORACLE_ENTRIES = 2**22
+MAX_ORACLE_ENTRIES = 2**22
 
 
 class Tensor3(_Immutable):
@@ -244,16 +244,12 @@ def spherical_assignment_sum(
     return value
 
 
-def spherical_oracle(
-    t,
-    xi: Tensor3,
-    max_entries: int = DEFAULT_MAX_ORACLE_ENTRIES,
-) -> complex:
+def spherical_oracle(t, xi: Tensor3) -> complex:
     """Inner product of the slot-permuted tensor power against itself.
 
     The blue coordinate permutes the blue slots of the n factors, red and
     yellow likewise. Axes of dimension 1 are dropped. Raises BudgetError
-    when the tensor power would hold more than max_entries entries.
+    when the tensor power would hold more than MAX_ORACLE_ENTRIES entries.
     """
     _require_unit(xi)
     n = t.n
@@ -261,8 +257,8 @@ def spherical_oracle(
         return complex(1.0)
     db, dr, dy = xi.dims
     size = (db * dr * dy) ** n
-    if size > max_entries:
-        raise BudgetError("tensor power needs %d entries, budget %d" % (size, max_entries))
+    if size > MAX_ORACLE_ENTRIES:
+        raise BudgetError("tensor power needs %d entries, budget %d" % (size, MAX_ORACLE_ENTRIES))
 
     import numpy as np
 

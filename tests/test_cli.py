@@ -530,8 +530,34 @@ def test_output_file_write(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 2
 
 
+def test_output_file_gets_the_mode_open_gives_or_keeps_its_own(tmp_path, capsys):
+    # the temporary file's 0600 is not left on the result: a new file gets
+    # 0666 less the umask, an overwritten one keeps its mode
+    path = write(tmp_path, "t.json", TRANSPOSITION)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("")
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        for target in (new, old):
+            assert invoke(capsys, "canon", path, "--output", str(target))[0] == 0
+    finally:
+        os.umask(umask)
+    assert (new.stat().st_mode & 0o777, old.stat().st_mode & 0o777) == (0o644, 0o640)
+    assert json.loads(old.read_text())["n"] == 2
+
+
 def files_under(root):
     return sorted(os.path.join(d, f) for d, _, names in os.walk(root) for f in names)
+
+
+def spy_on(monkeypatch, name):
+    """Replace the command main dispatches to for name with one that
+    records its call and does no work; returns the record."""
+    ran = []
+    row = cli._BY_NAME[name]
+    monkeypatch.setitem(cli._BY_NAME, name, row[:3] + (ran.append,) + row[4:])
+    return ran
 
 
 @pytest.mark.parametrize("target", ["missing/result.json", "out"])
@@ -540,8 +566,7 @@ def test_unwritable_output_exits_two_before_any_work(tmp_path, capsys, monkeypat
     # before the subcommand runs, and nothing is left behind
     path = write(tmp_path, "t.json", TRANSPOSITION)
     (tmp_path / "out").mkdir()
-    ran = []
-    monkeypatch.setattr(cli, "cmd_canon", ran.append)
+    ran = spy_on(monkeypatch, "canon")
     before = files_under(tmp_path)
     rc, out, err = invoke(capsys, "canon", path, "--output", str(tmp_path / target))
     assert rc == 2 and out == "" and ran == []
@@ -685,23 +710,24 @@ def test_usage_error_exits_two(capsys):
     assert info.value.code == 2
 
 
-# subcommands that print no DOT; the input files need not exist, since
-# the arguments are refused before any is read
-NO_DOT = [
-    ["concentrate", "l.json", "r.json"],
-    ["spherical", "s.json", "xi.json"],
-    ["ik-product", "l.json", "r.json"],
-    ["ik-project", "x.json", "--n", "3"],
-    ["poisson", "l.json", "r.json"],
-    ["census", "--n", "3"],
-    ["random", "--n", "3"],
-]
+def refused_format_argvs():
+    # each subcommand with every format it does not print; the input files
+    # need not exist, since the arguments are refused before any is read
+    for name, _, _, _, formats, arguments in cli.SUBCOMMANDS:
+        argv = [name]
+        for flag, keywords in arguments:
+            if not flag.startswith("-"):
+                argv.append(flag + ".json")
+            elif keywords.get("required"):
+                argv += [flag, "3"]
+        for fmt in dict(cli._COMMON)["--format"]["choices"]:
+            if fmt not in formats:
+                yield argv + ["--format", fmt]
 
 
 @pytest.mark.parametrize(
     "argv",
-    [argv + ["--format", "dot"] for argv in NO_DOT]
-    + [["dessin", "t.json", "--format", "tsv"], ["canon", "t.json", "--seed", "3"]],
+    [*refused_format_argvs(), ["canon", "t.json", "--seed", "3"]],
     ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
 )
 def test_unprinted_format_or_foreign_option_exits_two(capsys, argv):
@@ -760,16 +786,31 @@ def subcommand_argv(tmp_path, capsys, name):
     }[name]
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["canon", "product", "concentrate", "spherical", "ik-product", "ik-project", "poisson",
-     "dessin", "census", "random"],
-)
+@pytest.mark.parametrize("name", [row[0] for row in cli.SUBCOMMANDS])
 def test_subcommand_json_matches_stdlib_encoding(tmp_path, capsys, name):
     argv = subcommand_argv(tmp_path, capsys, name)
     rc, out, err = invoke(capsys, *argv, "--quiet")
     assert rc == 0, err
     assert out == stdlib_json_text(json.loads(out))
+
+
+@pytest.mark.parametrize("name", [row[0] for row in cli.SUBCOMMANDS])
+def test_every_subcommand_refuses_a_missing_input_or_a_directory_output(
+        tmp_path, capsys, monkeypatch, name):
+    # each input file of a valid call, made missing alone, exits 2 with one
+    # line; an --output onto a directory exits 2 before the command runs
+    argv = subcommand_argv(tmp_path, capsys, name)
+    files = [flag for flag, _ in cli._BY_NAME[name][5] if not flag.startswith("-")]
+    for i in range(1, len(files) + 1):
+        rc, out, err = invoke(capsys, *argv[:i], str(tmp_path / "absent.json"), *argv[i + 1:])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    ran = spy_on(monkeypatch, name)
+    (tmp_path / "out").mkdir()
+    rc, out, err = invoke(capsys, *argv, "--output", str(tmp_path / "out"))
+    assert (rc, out, ran) == (2, "", [])
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 # JSON output of sparse combinations: written from their arrays, checked
