@@ -202,13 +202,12 @@ def _members(texts: dict, newline: str) -> str:
 
 def _combination_json(element, newline: str, memo: dict) -> str:
     """The text of element.to_json() at the level newline. Each term fills
-    one %-template with its _term_fields and its key's _json_members, the
-    arrays' texts made once; a DoubleCoset key is written as its surface.
-    memo maps the level of a key's members to the text of each array
-    written there."""
+    one %-template with its _term_fields and its key's _key_members, the
+    arrays' texts made once. memo maps the level of a key's members to the
+    text of each array written there."""
     inner = newline + "  "
     texts = {name: _json(getattr(element, name), inner, memo) for name in element._params}
-    items = element.items()
+    items = element._terms()
     if not items:
         texts["terms"] = "[]"
         return _members(texts, newline)
@@ -216,16 +215,15 @@ def _combination_json(element, newline: str, memo: dict) -> str:
     field_nl = term_nl + "  "
     key_nl = field_nl + "  "
     arrays = memo.setdefault(key_nl, _ArrayTexts(key_nl))
-    coset = isinstance(items[0][0], DoubleCoset)
-    first = items[0][0].surface if coset else items[0][0]
-    key = {name: "%%(%s)s" % name for name in first._json_members(str)}
+    key = {name: "%%(%s)s" % name for name in element._key_members(items[0][0], str)}
     fields = {name: "%%(%s)s" % name for name, _ in element._term_fields}
     fields[element._field] = _members(key, field_nl)
     template = _members(fields, term_nl)
     array_text = arrays.__getitem__
+    key_members = element._key_members
     terms = []
     for k, val in items:
-        values = (k.surface if coset else k)._json_members(array_text)
+        values = key_members(k, array_text)
         for name, make in element._term_fields:
             values[name] = _json(make(val), field_nl, memo)
         terms.append(template % values)

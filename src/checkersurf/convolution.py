@@ -40,7 +40,14 @@ from checkersurf import kernel
 from checkersurf.errors import SchemaError
 from checkersurf.cosets import DoubleCoset, _check_pair, circledast
 from checkersurf.perm import _Immutable, _pad
-from checkersurf.surface import LabeledSurface, Triple, _glued, _gluing_count
+from checkersurf.surface import (
+    LabeledSurface,
+    Triple,
+    _array_members,
+    _glued,
+    _gluing_count,
+    _one_based,
+)
 
 __all__ = [
     "GroupAlgebraElement",
@@ -57,9 +64,14 @@ class SparseCombination(_Immutable):
     """Immutable sparse exact-rational combination of basis keys.
 
     A subclass names its fixed parameters in _params and a term's key
-    field in _field, and gives _sort_key, _key_from_json and _check_key.
-    Integral values stay int outside the public constructor, which checks
-    each key, makes each value a Fraction and drops zeros.
+    field in _field, and gives _sort_key, which orders the stored
+    (key, value) pairs as they print, and _key_from_json, which reads a
+    public key. Keys are stored as given unless the subclass overrides
+    _check_key, which refuses a public key that does not belong and
+    returns its stored form, and then also coefficient and items, which
+    take and give public keys, and _key_members, which writes a stored
+    key's JSON. Integral values stay int outside the public constructor,
+    which checks each key, makes each value a Fraction and drops zeros.
     """
 
     __slots__ = ("_coeffs",)
@@ -73,7 +85,7 @@ class SparseCombination(_Immutable):
     def __init__(self, coeffs: Dict | None = None):
         clean: Dict = {}
         for key, val in (coeffs or {}).items():
-            self._check_key(key)
+            key = self._check_key(key)
             val = Fraction(val)
             if val != 0:
                 clean[key] = val
@@ -89,8 +101,13 @@ class SparseCombination(_Immutable):
         object.__setattr__(obj, "_coeffs", coeffs)
         return obj
 
-    def _check_key(self, key) -> None:
-        pass
+    def _check_key(self, key):
+        return key
+
+    def _key_members(self, key, array) -> dict:
+        """The JSON members of a stored key, each array written by array;
+        to_json and cli._combination_json both read them."""
+        return key._json_members(array)
 
     def _param_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._params)
@@ -98,8 +115,12 @@ class SparseCombination(_Immutable):
     def coefficient(self, key) -> Fraction:
         return self._coeffs.get(key, Fraction(0))
 
-    def items(self) -> List[Tuple[object, Fraction]]:
+    def _terms(self) -> List[Tuple[object, Fraction]]:
+        """The stored (key, value) pairs in print order."""
         return sorted(self._coeffs.items(), key=self._sort_key)
+
+    def items(self) -> List[Tuple[object, Fraction]]:
+        return self._terms()
 
     def support_size(self) -> int:
         return len(self._coeffs)
@@ -142,11 +163,11 @@ class SparseCombination(_Immutable):
 
     def to_json(self) -> dict:
         data = {name: getattr(self, name) for name in self._params}
-        data["terms"] = [self._term_json(key, val) for key, val in self.items()]
+        data["terms"] = [self._term_json(key, val) for key, val in self._terms()]
         return data
 
     def _term_json(self, key, val) -> dict:
-        term = {self._field: key.to_json()}
+        term = {self._field: self._key_members(key, _one_based)}
         for name, make in self._term_fields:
             term[name] = make(val)
         return term
@@ -154,7 +175,10 @@ class SparseCombination(_Immutable):
     @classmethod
     def from_json(cls, data: dict):
         try:
-            params = [int(data[name]) for name in cls._params]
+            params = [data[name] for name in cls._params]
+            for name, value in zip(cls._params, params):
+                if type(value) is not int:
+                    raise ValueError("%s must be an integer, got %r" % (name, value))
             coeffs: Dict = {}
             for term in data["terms"]:
                 key = cls._key_from_json(term[cls._field])
@@ -166,26 +190,60 @@ class SparseCombination(_Immutable):
 
 
 class GroupAlgebraElement(SparseCombination):
-    """Sparse exact-rational combination of group elements at degree n."""
+    """Sparse exact-rational combination of group elements at degree n.
+
+    A term is stored keyed by its three 0-based arrays at length n, so
+    lift, project and convolve build no Triple per term. The public
+    constructor and coefficient take Triples, padded to n, and items
+    gives them at degree n; to_json writes every term at degree n.
+    """
 
     __slots__ = ("n",)
     _params = ("n",)
     _field = "triple"
 
     def __init__(self, n: int, coeffs: Dict[Triple, Fraction] | None = None):
+        if n < 0:
+            raise SchemaError("ambient degree must be nonnegative, got %d" % n)
         object.__setattr__(self, "n", n)
         super().__init__(coeffs)
 
-    def _check_key(self, key) -> None:
-        if len(key._key()[0]) > self.n:
+    def _arrays(self, t: Triple):
+        """t's three arrays at length n, or None if t moves a point beyond n."""
+        key = t._key()
+        if len(key[0]) > self.n:
+            return None
+        return tuple([_pad(arr, self.n) for arr in key])
+
+    def _check_key(self, key):
+        arrays = self._arrays(key)
+        if arrays is None:
             raise SchemaError(
                 "group element of degree %d exceeds ambient degree %d"
                 % (len(key._key()[0]), self.n)
             )
+        return arrays
+
+    def coefficient(self, key: Triple) -> Fraction:
+        return self._coeffs.get(self._arrays(key), Fraction(0))
+
+    def items(self) -> List[Tuple[Triple, Fraction]]:
+        n = self.n
+        return [(Triple._from_zero_based(n, *key), val) for key, val in self._terms()]
 
     @staticmethod
     def _sort_key(item):
-        return item[0]._key()
+        # Triple._key() order: the arrays cut after the last point that
+        # one of them moves, compared color by color; each color ends in
+        # -1, below every point, so one flat tuple compares the same way
+        b, r, y = item[0]
+        m = len(b)
+        while m and b[m - 1] == r[m - 1] == y[m - 1] == m - 1:
+            m -= 1
+        return b[:m] + (-1,) + r[:m] + (-1,) + y[:m]
+
+    def _key_members(self, key, array) -> dict:
+        return _array_members(self.n, key, array)
 
     _key_from_json = staticmethod(Triple.from_json)
 
@@ -206,7 +264,7 @@ def delta_subgroup(alpha: int, n: int) -> GroupAlgebraElement:
     coeffs = {}
     for tail in permutations(range(alpha, n)):
         h = tuple(range(alpha)) + tail
-        coeffs[Triple._from_zero_based(n, h, h, h)] = weight
+        coeffs[h, h, h] = weight
     return GroupAlgebraElement._from_clean(coeffs, n)
 
 
@@ -214,18 +272,9 @@ def convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElem
     """(f * g)(x) = sum over y of f(y) g(y^-1 x); mass multiplies."""
     if f.n != g.n:
         raise SchemaError("ambient degrees differ: %d vs %d" % (f.n, g.n))
-    n = f.n
-
-    def arrays(t: Triple):
-        # a key may carry trailing fixed points beyond n
-        return [_pad(arr[:n], n) for arr in (t._b, t._r, t._y)]
-
-    right = [(arrays(z), gz) for z, gz in g._coeffs.items()]
-    # keyed by the three product arrays, all of length n, which are equal
-    # exactly when their triples are; each Triple is built once at the end
+    right = list(g._coeffs.items())
     out: Dict[tuple, Fraction] = {}
-    for y, fy in f._coeffs.items():
-        ys = arrays(y)
+    for ys, fy in f._coeffs.items():
         for zs, gz in right:
             x = tuple([tuple([a[v] for v in b]) for a, b in zip(ys, zs)])
             val = out.get(x, 0) + fy * gz
@@ -233,8 +282,7 @@ def convolve(f: GroupAlgebraElement, g: GroupAlgebraElement) -> GroupAlgebraElem
                 out[x] = val
             else:
                 out.pop(x, None)
-    coeffs = {Triple._from_zero_based(n, *x): val for x, val in out.items()}
-    return GroupAlgebraElement._from_clean(coeffs, n)
+    return GroupAlgebraElement._from_clean(out, f.n)
 
 
 class CosetAlgebraElement(SparseCombination):
@@ -253,6 +301,9 @@ class CosetAlgebraElement(SparseCombination):
     @staticmethod
     def _sort_key(item):
         return item[0].surface.sort_key()
+
+    def _key_members(self, key, array) -> dict:
+        return key.surface._json_members(array)
 
     _key_from_json = staticmethod(DoubleCoset.from_json)
     _term_fields = (("coeff", str), ("value", float))

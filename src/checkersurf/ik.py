@@ -24,6 +24,14 @@ the k' = k - f points the pair moves, so the class is enumerated from
 the (m)_k' injections of those points into [m]. By orbit-stabilizer
 each pair of the class is hit by exactly z of them, so z = (m)_k' / |class|
 and the scalar, (m)_k / |class|, needs no separate centralizer count.
+Each member is kept as its three arrays (h1, h2, identity), the key a
+GroupAlgebraElement stores, so no Triple is built per member.
+
+The class depends only on the moved pair, so s, s with one double
+triangle and s with two share one. project enumerates the class of each
+moved pair once, adds up the scaled coefficients of the surfaces that
+share it, and writes each member once with the total; a class whose
+total cancels is not written.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import perm
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from checkersurf import kernel
 from checkersurf.convolution import GroupAlgebraElement, SparseCombination
@@ -69,9 +77,10 @@ class IKElement(SparseCombination):
     __slots__ = ()
     _field = "surface"
 
-    def _check_key(self, key) -> None:
+    def _check_key(self, key) -> CheckerSurface:
         if not isinstance(key, CheckerSurface):
             raise SchemaError("basis keys must be canonical surfaces, got %r" % type(key).__name__)
+        return key
 
     @staticmethod
     def _sort_key(item):
@@ -116,56 +125,83 @@ def ik_product(p, q) -> IKElement:
     return IKElement(coeffs)
 
 
-def lift(p: CheckerSurface, m: int) -> GroupAlgebraElement:
-    """The degree-m shadow of a basis surface: a scaled class sum of pairs.
+def _moved_pair(p: CheckerSurface) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The pair of p on the k' points it moves, numbered 0..k'-1 in order.
 
     The pair of a surface is (yellow after blue inverse, yellow after red
     inverse); black-to-white composites, matching the direction the gluing
-    product composes through matched triangles. Its diagonal conjugacy
-    class at degree m is enumerated from the (m)_k' injections of its k'
-    moved points, so keep m small. The coefficient is the (m)_k point
-    embeddings spread evenly over the class (module docstring).
+    product composes through matched triangles. Its fixed points are the
+    double triangles.
     """
-    p = _as_surface(p)
-    k = p.n
-    if m < k:
-        raise SchemaError("target degree %d is below the surface degree %d" % (m, k))
     ib = _invert(p._b)
     ir = _invert(p._r)
-    g1 = [p._y[ib[x]] for x in range(k)]
-    g2 = [p._y[ir[x]] for x in range(k)]
-    moved = [x for x in range(k) if g1[x] != x or g2[x] != x]
+    g1 = [p._y[ib[x]] for x in range(p.n)]
+    g2 = [p._y[ir[x]] for x in range(p.n)]
+    moved = [x for x in range(p.n) if g1[x] != x or g2[x] != x]
     index = {x: i for i, x in enumerate(moved)}
-    a1 = [index[g1[x]] for x in moved]
-    a2 = [index[g2[x]] for x in moved]
+    return tuple([index[g1[x]] for x in moved]), tuple([index[g2[x]] for x in moved])
+
+
+def _pair_class(a1: Tuple[int, ...], a2: Tuple[int, ...], m: int) -> set:
+    """The diagonal conjugacy class at degree m of the moved pair (a1, a2),
+    as GroupAlgebraElement keys (h1, h2, identity), from the (m)_k'
+    injections of the k' moved points into [m]."""
     ident = tuple(range(m))
     seen = set()
-    for inj in permutations(range(m), len(moved)):
+    for inj in permutations(range(m), len(a1)):
         h1 = list(ident)
         h2 = list(ident)
         for x, y in enumerate(inj):
             h1[y] = inj[a1[x]]
             h2[y] = inj[a2[x]]
-        seen.add((tuple(h1), tuple(h2)))
-    coeff = perm(m, k) // len(seen)
-    coeffs = {Triple._from_zero_based(m, h1, h2, ident): coeff for h1, h2 in seen}
-    return GroupAlgebraElement._from_clean(coeffs, m)
+        seen.add((tuple(h1), tuple(h2), ident))
+    return seen
+
+
+def lift(p: CheckerSurface, m: int) -> GroupAlgebraElement:
+    """The degree-m shadow of a basis surface: a scaled class sum of pairs.
+
+    The diagonal conjugacy class at degree m of the pair of p (_moved_pair)
+    is enumerated from the (m)_k' injections of its k' moved points, so
+    keep m small. The coefficient is the (m)_k point embeddings spread
+    evenly over the class (module docstring); every member is one key of
+    the element, with no Triple built.
+    """
+    p = _as_surface(p)
+    if m < p.n:
+        raise SchemaError("target degree %d is below the surface degree %d" % (m, p.n))
+    members = _pair_class(*_moved_pair(p), m)
+    # dict.fromkeys reuses the hashes the set holds
+    return GroupAlgebraElement._from_clean(dict.fromkeys(members, perm(m, p.n) // len(members)), m)
 
 
 def project(x: IKElement, n: int) -> GroupAlgebraElement:
     """Linear extension of the lift; surfaces above degree n map to zero.
 
     Multiplicative against the gluing product, with convolution of pairs
-    on the other side.
+    on the other side. Surfaces with one moved pair (s, s with double
+    triangles) share one class, enumerated once; classes are equal or
+    disjoint, so the least member keys a class exactly. Each class
+    collects the coefficients of its surfaces, and its members are
+    written once with the total, or not at all when it cancels.
     """
-    coeffs: Dict[Triple, Fraction] = {}
+    entries: Dict[tuple, list] = {}  # moved pair -> [members, coefficient] of its class
+    classes: Dict[tuple, list] = {}  # least member -> the same entry
     for surf, co in x._coeffs.items():
         if surf.n <= n:
             if co.denominator == 1:
                 co = co.numerator
-            for t, c in lift(surf, n)._coeffs.items():
-                coeffs[t] = coeffs.get(t, 0) + c * co
-    return GroupAlgebraElement._from_clean({t: c for t, c in coeffs.items() if c}, n)
+            pair = _moved_pair(surf)
+            entry = entries.get(pair)
+            if entry is None:
+                members = _pair_class(*pair, n)
+                entry = entries[pair] = classes.setdefault(min(members), [members, 0])
+            entry[1] += co * (perm(n, surf.n) // len(entry[0]))
+    coeffs: Dict[tuple, Fraction] = {}
+    for members, co in classes.values():
+        if co:
+            coeffs.update(dict.fromkeys(members, co))
+    return GroupAlgebraElement._from_clean(coeffs, n)
 
 
 def poisson_bracket(p, q) -> IKElement:

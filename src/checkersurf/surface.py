@@ -65,6 +65,18 @@ def _as_images(p: PermLike) -> Tuple[int, ...]:
     return Permutation(tuple(p)).images
 
 
+def _one_based(arr: Sequence[int]) -> List[int]:
+    return [x + 1 for x in arr]
+
+
+def _array_members(n: int, arrays: Sequence[Sequence[int]], array) -> dict:
+    """The JSON members of a triple of degree n with the 0-based blue, red
+    and yellow arrays, each written by array: the one JSON layout, which
+    _Gluing, GroupAlgebraElement and cli._combination_json read."""
+    b, r, y = arrays
+    return {"n": n, "blue": array(b), "red": array(r), "yellow": array(y)}
+
+
 class _Gluing(_Immutable):
     """The degree n and the three 0-based gluing arrays with their
     formats, the base of Triple and of the canonical surfaces; every
@@ -84,12 +96,12 @@ class _Gluing(_Immutable):
         return _cycle_string(self._b), _cycle_string(self._r), _cycle_string(self._y)
 
     def to_json(self) -> dict:
-        return self._json_members(lambda arr: [x + 1 for x in arr])
+        return self._json_members(_one_based)
 
     def _json_members(self, array) -> dict:
         """The members of to_json, each color's 0-based array written by
-        array: the one JSON layout, which cli._combination_json also reads."""
-        data = {"n": self.n, "blue": array(self._b), "red": array(self._r), "yellow": array(self._y)}
+        array, in the layout of _array_members."""
+        data = _array_members(self.n, (self._b, self._r, self._y), array)
         for name in self._params:
             data[name] = getattr(self, name)
         return data

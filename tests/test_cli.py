@@ -877,6 +877,30 @@ def test_element_json_covers_degree_zero_and_labeled_keys():
     assert any('"terms": []' in text for text in texts)
 
 
+def test_group_element_terms_print_in_trimmed_key_order():
+    # Triple._key() order: at n = 3 the blue and yellow identities of
+    # (id, (1 2), id) trim to length 2, a prefix of those of (id, (2 3), id),
+    # so it comes first; by the untrimmed arrays it would come second
+    first = Triple("()", "(1 2)", "()", n=3)
+    second = Triple("()", "(2 3)", "()", n=3)
+    e = GroupAlgebraElement(3, {second: 1, first: Fraction(1, 2)})
+    assert [t for t, _ in e.items()] == [first, second]
+    terms = json.loads(cli._json_text(e))["terms"]
+    assert [term["triple"]["red"] for term in terms] == [[2, 1, 3], [1, 3, 2]]
+
+
+def test_group_element_keys_given_below_degree_print_at_degree_n():
+    e = GroupAlgebraElement(4, {
+        Triple("(1 2)", "()", "()"): Fraction(1, 3),
+        Triple("()", "(1 3)", "(1 2)", n=3): -2,
+        Triple("()", "()", "()", n=0): 5,
+    })
+    data = e.to_json()
+    assert [term["triple"]["n"] for term in data["terms"]] == [4, 4, 4]
+    assert [len(term["triple"]["blue"]) for term in data["terms"]] == [4, 4, 4]
+    assert cli._json_text(e) == stdlib_json_text(data)
+
+
 @pytest.mark.parametrize("n", [0, 2, 4])
 def test_ik_project_prints_the_to_json_of_the_projection(tmp_path, capsys, n):
     three = write(tmp_path, "three.json", THREE)

@@ -51,7 +51,7 @@ def uniform_on_coset(p, n):
 def classify(f, alpha, gamma):
     """Oracle: push a group-algebra element down to coset classes."""
     out = {}
-    for t, c in f._coeffs.items():
+    for t, c in f.items():
         key = DoubleCoset.from_triple(t, alpha, gamma)
         out[key] = out.get(key, Fraction(0)) + c
     return out
@@ -165,6 +165,20 @@ def test_element_json_round_trips_and_rejects_arithmetic_errors():
             IKElement.from_json({"terms": [{"surface": triple, "coeff": coeff}]})
     with pytest.raises(SchemaError):
         GroupAlgebraElement.from_json({"n": float("inf"), "terms": []})
+
+
+def test_element_degrees_must_be_nonnegative_integers():
+    with pytest.raises(SchemaError):
+        GroupAlgebraElement(-1)
+    for n in (-1, 2.7, True, "3", None):
+        with pytest.raises(SchemaError):
+            GroupAlgebraElement.from_json({"n": n, "terms": []})
+    good = {"n": 2, "alpha": 1, "gamma": 1, "terms": []}
+    assert CosetAlgebraElement.from_json(good) == CosetAlgebraElement(2, 1, 1, {})
+    for name in ("n", "alpha", "gamma"):
+        for value in (2.7, True):
+            with pytest.raises(SchemaError):
+                CosetAlgebraElement.from_json(dict(good, **{name: value}))
 
 
 def test_subgroup_uniform_support_mass_idempotence():

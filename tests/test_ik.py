@@ -283,9 +283,39 @@ def test_projection_matches_the_fold_of_scaled_lifts():
         assert got == want
         assert all(c != 0 for c in got._coeffs.values())
         if want.coefficient(t) == 0:
-            assert t not in got._coeffs
+            # t is at degree n, so its arrays are its stored key
+            assert (t._b, t._r, t._y) not in got._coeffs
             cancelled += 1
     assert cancelled >= 50
+
+
+def test_projection_merges_the_surfaces_of_one_class():
+    # s, s with one double triangle and s with two lift onto one class and
+    # add up to a nonzero total; c and c with one double triangle lift onto
+    # another class and cancel
+    rng = random.Random(88)
+    for n in (5, 6):
+        for _ in range(12):
+            s = checker_surface(random_triple(rng, rng.randint(1, n - 2)))
+            sd = graded_product(s, DT)
+            sdd = graded_product(sd, DT)
+            u, _ = lift(s, n).items()[0]
+            c = s
+            while lift(c, n).coefficient(u):
+                c = checker_surface(random_triple(rng, rng.randint(1, n - 1)))
+            cd = graded_product(c, DT)
+            t, c1 = lift(cd, n).items()[0]
+            a = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            coeffs = {cd: a, c: -a * c1 / lift(c, n).coefficient(t)}
+            for surf in (s, sd, sdd):
+                coeffs[surf] = Fraction(rng.choice([-5, -3, -1, 1, 2, 7]), rng.randint(1, 6))
+            x = IKElement(coeffs)
+            got, want = project(x, n), project_fold_oracle(x, n)
+            assert got == want and got.items() == want.items()
+            total = sum(coeffs[surf] * lift(surf, n).coefficient(u) for surf in (s, sd, sdd))
+            assert total != 0 and got.coefficient(u) == total
+            assert got.support_size() == lift(s, n).support_size()
+            assert (t._b, t._r, t._y) not in got._coeffs
 
 
 def test_projection_of_double_triangle_square():
