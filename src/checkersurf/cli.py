@@ -19,12 +19,11 @@ over their limit, also exit 3.
 
 A subcommand's whole contract is its row of SUBCOMMANDS: name, aliases,
 help line, the command main runs, the formats it prints and its own
-arguments. build_parser makes the argparse parser from the rows and the
-options every subcommand shares, and main dispatches through the row of
-the name it parsed. Each call parses once, with the invoked subcommand's
-parser alone, whose usage line names every subcommand; the full parser is
-built only for help, an empty argv and an unknown command. Nothing is
-cached.
+arguments. main reads a plain argv straight from the invoked row and the
+options every subcommand shares (_read_argv), and dispatches through that
+row. Any other argv, help, and every usage error go to the argparse parser
+that build_parser makes from the same rows, so argparse writes every help
+and error text. No parser or namespace is kept between calls.
 """
 
 from __future__ import annotations
@@ -236,17 +235,23 @@ def _tsv_text(rows) -> str:
 
 
 def _emit(text: str, args) -> None:
-    if args.output:
-        target = os.path.abspath(args.output)
+    if args.output is not None:
         try:
             # mkstemp makes the file 0600: an overwritten file keeps its
             # mode, and a new one gets the mode open() would give it
             try:
-                mode = stat.S_IMODE(os.stat(target).st_mode)
+                st = os.stat(args.output)
             except FileNotFoundError:
                 umask = os.umask(0)
                 os.umask(umask)
                 mode = 0o666 & ~umask
+            else:
+                mode = stat.S_IMODE(st.st_mode)
+                if not stat.S_ISREG(st.st_mode):  # a device or a FIFO is written in place
+                    with open(args.output, "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                    return
+            target = os.path.realpath(args.output)  # through a symlink, onto the file it names
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-emit-")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -650,37 +655,70 @@ SUBCOMMANDS = (
 _BY_NAME = {name: row for row in SUBCOMMANDS for name in (row[0],) + row[1]}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand's parser, or with only
-    the one that command names (a name or an alias)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="checkersurf",
         description="Calculus of checker triangulated surfaces.",
     )
-    # one subcommand's usage line names them all, so its errors read as the full parser's
-    names = None if command is None else "{%s}" % ",".join(_BY_NAME)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
-    for name, aliases, help_line, _, _, arguments in (
-        SUBCOMMANDS if command is None else (_BY_NAME[command],)
-    ):
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, aliases, help_line, _, _, arguments in SUBCOMMANDS:
         p = sub.add_parser(name, aliases=aliases, help=help_line)
         for flag, keywords in _COMMON + arguments:
             p.add_argument(flag, **keywords)
     return parser
 
 
+def _read_argv(argv: list):
+    """build_parser().parse_args(argv), read from the invoked row alone, or
+    None unless argv is a subcommand name or alias, its positionals, then
+    exact --option value and --flag tokens given once, no positional or value
+    starting with "-", each value passing type and choices, required given."""
+    row = _BY_NAME.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    names = [flag for flag, _ in row[5] if flag[0] != "-"]
+    positionals = argv[1:len(names) + 1]
+    if len(positionals) < len(names) or any(value[:1] == "-" for value in positionals):
+        return None
+    options = {flag: keywords for flag, keywords in _COMMON + row[5] if flag[0] == "-"}
+    given = {}
+    rest = iter(argv[len(names) + 1:])
+    for flag in rest:
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if "action" in keywords:  # store_true
+            given[flag] = True
+            continue
+        value = next(rest, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            given[flag] = value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+    args = argparse.Namespace(command=argv[0], **dict(zip(names, positionals)))
+    for flag, keywords in options.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        default = keywords.get("default", False if "action" in keywords else None)
+        setattr(args, keywords.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # help, an empty argv and an unknown command need every subcommand
-    parser = build_parser(argv[0] if argv and argv[0] in _BY_NAME else None)
-    args = parser.parse_args(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     command, formats = _BY_NAME[args.command][3:5]
     args.format = args.format or formats[0]
     if args.format not in formats:
-        parser.error("%s prints only --format %s" % (args.command, " or ".join(formats)))
+        build_parser().error("%s prints only --format %s" % (args.command, " or ".join(formats)))
     try:
-        # an --output path that is a directory, or whose parent is not one, fails before any work
-        target = args.output and os.path.abspath(args.output)
+        # an --output path that is empty, a directory, or not in one, fails before any work
+        target = args.output is not None and os.path.realpath(args.output)
         if target and (os.path.isdir(target) or not os.path.isdir(os.path.dirname(target))):
             raise SchemaError("cannot write %s: not a file in an existing directory" % args.output)
         command(args)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -545,6 +546,47 @@ def test_output_file_gets_the_mode_open_gives_or_keeps_its_own(tmp_path, capsys)
         os.umask(umask)
     assert (new.stat().st_mode & 0o777, old.stat().st_mode & 0o777) == (0o644, 0o640)
     assert json.loads(old.read_text())["n"] == 2
+
+
+def test_output_writes_through_a_symlink(tmp_path, capsys):
+    # the file a link names is written, and the link stays; a dangling
+    # link makes the file it names, as a shell redirect does
+    path = write(tmp_path, "t.json", TRANSPOSITION)
+    real, link, dangling = tmp_path / "real.json", tmp_path / "link", tmp_path / "dangling"
+    real.write_text("old")
+    link.symlink_to(real)
+    dangling.symlink_to(tmp_path / "new.json")
+    for target in (link, dangling):
+        assert invoke(capsys, "canon", path, "--output", str(target))[0] == 0
+        assert target.is_symlink()
+        assert json.loads(target.read_text())["n"] == 2
+    assert sorted(os.listdir(tmp_path)) == ["dangling", "link", "new.json", "real.json", "t.json"]
+
+
+def test_output_into_a_fifo_is_written_in_place(tmp_path, capsys):
+    # a reader already holds the FIFO open, so the write does not block;
+    # replacing the FIFO would leave that reader 0 bytes
+    path = write(tmp_path, "t.json", TRANSPOSITION)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert invoke(capsys, "canon", path, "--output", str(fifo))[0] == 0
+        text = os.read(fd, 1 << 16).decode()
+    finally:
+        os.close(fd)
+    assert json.loads(text)["n"] == 2
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_empty_output_path_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "t.json", TRANSPOSITION)
+    ran = spy_on(monkeypatch, "canon")
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = invoke(capsys, "canon", path, "--output", "")
+    assert (rc, out, ran) == (2, "", [])
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["t.json"]
 
 
 def files_under(root):

@@ -13,6 +13,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
+from checkersurf.cosets import DoubleCoset, circledast, star
 from checkersurf.errors import BudgetError, SchemaError
 from checkersurf.perm import random_permutation
 from checkersurf.spherical import Tensor3, spherical_assignment_sum, spherical_oracle
@@ -345,3 +346,23 @@ def test_value_is_invariant_under_local_unitaries():
         u, v, w = (random_unitary(rng, 2) for _ in range(3))
         moved = np.einsum("ai,bj,ck,ijk->abc", u, v, w, xi.entries)
         assert close(spherical_assignment_sum(t, Tensor3(moved)), spherical_assignment_sum(t, xi))
+
+
+def test_star_gram_matrices_are_positive_semidefinite():
+    # spherical values are matrix coefficients of unitary representations,
+    # so for cosets q_i with k black labels and none white the matrix
+    # G_ij = value(star(q_i) * q_j), each product a closed surface, is
+    # Hermitian and positive semidefinite; this ties star to the values
+    rng = random.Random(2001)
+    for i in range(40):
+        k = i % 4
+        xi = Tensor3.random_unit(rng, [rng.randint(1, 3) for _ in range(3)])
+        qs = [
+            DoubleCoset.from_triple(random_triple(rng, rng.randint(max(k, 1), k + 2)), k, 0)
+            for _ in range(5)
+        ]
+        gram = np.array([
+            [spherical_assignment_sum(circledast(star(p), q).surface, xi) for q in qs] for p in qs
+        ])
+        assert np.abs(gram - gram.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh(gram).min() > -1e-12
